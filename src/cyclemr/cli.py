@@ -33,6 +33,7 @@ from .io import (
     read_matrix,
     stats_from_dict,
     stats_to_dict,
+    summary_from_dict,
     summary_to_dict,
     write_json,
     write_manifest,
@@ -42,14 +43,15 @@ from .mcmc import FIXED_MAP, SELECTION, run_chain
 from .metrics import DeviationMetrics, _target_metrics, deviation_metrics, evaluate_fit
 from .model import DimensionMismatchError, RawDataSet, compute_sufficient_stats
 from .simulate import CaseSpec, gen_data, gen_truth
-from .summary import FitSummary, summarize
+from .summary import summarize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MODEL_METHODS = ("rgm", "rgm-plus")
+INSTRUMENT_MODES = {"rgm": FIXED_MAP, "rgm-plus": SELECTION}
+MODEL_METHODS = tuple(INSTRUMENT_MODES)
 BASELINE_METHODS = ("ratio", "ivw", "median", "wmedian", "tsls")
 SIGNIFICANCE = 0.05
 
@@ -123,7 +125,7 @@ def _load_fit_config(args):
     doc = read_json(args.config) if args.config else {}
     config, sample_format = config_from_dict(doc)
     if args.mode:
-        config.hyper.instrument_mode = FIXED_MAP if args.mode == "rgm" else SELECTION
+        config.hyper.instrument_mode = INSTRUMENT_MODES[args.mode]
     if args.b_support:
         config.fixed_b_support = read_matrix(args.b_support).astype(int)
     if config.hyper.instrument_mode == FIXED_MAP and config.fixed_b_support is None:
@@ -191,39 +193,6 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _fit_summary_from_doc(doc, threshold_a, threshold_b, threshold_z):
-    pip_a = np.asarray(doc["pip_a"], dtype=float)
-    pip_b = np.asarray(doc["pip_b"], dtype=float)
-    pip_z = np.asarray(doc["pip_z"], dtype=float)
-    mean_a = np.asarray(doc["mean_a"], dtype=float)
-    mean_b = np.asarray(doc["mean_b"], dtype=float)
-    mean_sigma = np.asarray(doc["mean_sigma_star"], dtype=float)
-    sparse_a = mean_a * (pip_a >= threshold_a)
-    np.fill_diagonal(sparse_a, 0.0)
-    sparse_sigma = mean_sigma * (pip_z >= threshold_z)
-    np.fill_diagonal(sparse_sigma, np.diag(mean_sigma))
-    return FitSummary(
-        pip_a=pip_a,
-        pip_b=pip_b,
-        pip_z=pip_z,
-        mean_a=mean_a,
-        mean_b=mean_b,
-        mean_c=np.asarray(doc["mean_c"], dtype=float),
-        mean_sigma_star=mean_sigma,
-        sparse_a=sparse_a,
-        sparse_b=mean_b * (pip_b >= threshold_b),
-        sparse_sigma_star=sparse_sigma,
-        ci_a=np.asarray(doc["ci_a"], dtype=float),
-        ci_b=np.asarray(doc["ci_b"], dtype=float),
-        ci_c=np.asarray(doc["ci_c"], dtype=float),
-        ci_sigma_star=np.asarray(doc["ci_sigma_star"], dtype=float),
-        threshold_a=threshold_a,
-        threshold_b=threshold_b,
-        threshold_z=threshold_z,
-        instrument_mode=doc["instrument_mode"],
-    )
-
-
 def _read_truth(truth_dir):
     truth_dir = Path(truth_dir)
     return types.SimpleNamespace(
@@ -234,18 +203,22 @@ def _read_truth(truth_dir):
     )
 
 
+def _write_report(path, payload):
+    """Write a single-file JSON report, removing it if the write fails."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(path, payload)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def cmd_evaluate(args):
     doc = read_json(Path(args.fit) / "summary.json")
     truth = _read_truth(args.truth)
-    fit = _fit_summary_from_doc(doc, args.threshold_a, args.threshold_b, args.threshold_z)
-    report = evaluate_fit(fit, truth)
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_json(out, report.to_dict())
-    except BaseException:
-        out.unlink(missing_ok=True)
-        raise
+    fit = summary_from_dict(doc, args.threshold_a, args.threshold_b, args.threshold_z)
+    _write_report(args.out, evaluate_fit(fit, truth).to_dict())
     return EXIT_OK
 
 
@@ -273,22 +246,16 @@ def cmd_baseline(args):
     else:
         source = stats
     result = baseline_effects(source, args.method, instrument_map, seed=estimate_seed)
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_json(
-            out,
-            {
-                "method": args.method,
-                "effect": result.effect.tolist(),
-                "score": result.score.tolist(),
-                "pvalue": result.pvalue.tolist(),
-                "instrument_map": instrument_map.tolist(),
-            },
-        )
-    except BaseException:
-        out.unlink(missing_ok=True)
-        raise
+    _write_report(
+        args.out,
+        {
+            "method": args.method,
+            "effect": result.effect.tolist(),
+            "score": result.score.tolist(),
+            "pvalue": result.pvalue.tolist(),
+            "instrument_map": instrument_map.tolist(),
+        },
+    )
     return EXIT_OK
 
 
@@ -305,8 +272,8 @@ def _replicate_metrics(task):
         if method in MODEL_METHODS:
             config, _ = config_from_dict(config_doc)
             config.seed = fit_seed
-            config.hyper.instrument_mode = FIXED_MAP if method == "rgm" else SELECTION
-            config.fixed_b_support = truth.b_support if method == "rgm" else None
+            config.hyper.instrument_mode = INSTRUMENT_MODES[method]
+            config.fixed_b_support = truth.b_support if config.hyper.instrument_mode == FIXED_MAP else None
             chain = run_chain(stats, config)
             fit = summarize(chain, *thresholds)
             out[method] = evaluate_fit(fit, truth).to_dict()
@@ -371,7 +338,6 @@ def cmd_benchmark(args):
                     values = np.array(
                         [rep[target][metric] for rep in per_rep if target in rep], dtype=float
                     )
-                    values = np.where(np.equal(values, None), np.nan, values)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", RuntimeWarning)
                         mean = float(np.nanmean(values))
@@ -430,7 +396,7 @@ def build_parser():
     fit.add_argument("--stats", required=True)
     fit.add_argument("--config", default=None)
     fit.add_argument("--out", required=True)
-    fit.add_argument("--mode", choices=["rgm", "rgm-plus"], default=None)
+    fit.add_argument("--mode", choices=list(INSTRUMENT_MODES), default=None)
     fit.add_argument("--b-support", default=None)
     _add_threshold_flags(fit)
     fit.set_defaults(func=cmd_fit)

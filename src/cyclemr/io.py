@@ -18,6 +18,7 @@ import numpy as np
 
 from .mcmc import Hyperparameters, McmcConfig
 from .model import Dimensions, DimensionMismatchError, SummaryStatistics
+from .summary import FitSummary
 
 SAMPLE_FORMATS = ("npz", "csv", "none")
 
@@ -105,33 +106,42 @@ def stats_from_dict(doc) -> SummaryStatistics:
     ).validate()
 
 
-_CONFIG_KEYS = {
-    "iterations", "burn_in", "thin", "seed", "adapt_proposals",
-    "fixed_b_support", "sample_format", "hyper",
-}
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McmcConfig)}
 _HYPER_KEYS = {f.name for f in dataclasses.fields(Hyperparameters)}
 
 
+def _config_value(name, value):
+    if type(_CONFIG_FIELDS[name].default) is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def config_from_dict(doc):
-    """Parse a run configuration document; unknown keys are an error."""
-    unknown = set(doc) - _CONFIG_KEYS
+    """Parse and validate a run configuration document; unknown keys are an error.
+
+    The keys are the McmcConfig fields plus sample_format, with the
+    dataclass defaults.  Integer fields also accept integral numbers
+    written as floats, such as 5e4.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("config document must be a JSON object")
+    unknown = set(doc) - set(_CONFIG_FIELDS) - {"sample_format"}
     if unknown:
         raise ValueError(f"unknown keys in config document: {sorted(unknown)}")
     hyper_doc = doc.get("hyper", {})
+    if not isinstance(hyper_doc, dict):
+        raise ValueError("config hyper block must be a JSON object")
     unknown_hyper = set(hyper_doc) - _HYPER_KEYS
     if unknown_hyper:
         raise ValueError(f"unknown keys in config hyper block: {sorted(unknown_hyper)}")
-    hyper = Hyperparameters(**hyper_doc)
-    support = doc.get("fixed_b_support")
-    config = McmcConfig(
-        iterations=int(doc.get("iterations", 50_000)),
-        burn_in=int(doc.get("burn_in", 10_000)),
-        thin=int(doc.get("thin", 10)),
-        seed=int(doc.get("seed", 0)),
-        hyper=hyper,
-        fixed_b_support=None if support is None else np.asarray(support, dtype=int),
-        adapt_proposals=bool(doc.get("adapt_proposals", True)),
-    )
+    kwargs = {name: _config_value(name, value) for name, value in doc.items() if name in _CONFIG_FIELDS}
+    kwargs["hyper"] = Hyperparameters(**hyper_doc)
+    if kwargs.get("fixed_b_support") is not None:
+        support = np.asarray(kwargs["fixed_b_support"], dtype=float)
+        if not np.isin(support, (0.0, 1.0)).all():
+            raise ValueError("fixed_b_support must be a matrix of zeros and ones")
+        kwargs["fixed_b_support"] = support.astype(int)
+    config = McmcConfig(**kwargs).validate()
     sample_format = doc.get("sample_format", "npz")
     if sample_format not in SAMPLE_FORMATS:
         raise ValueError(f"sample_format must be one of {SAMPLE_FORMATS}")
@@ -139,39 +149,36 @@ def config_from_dict(doc):
 
 
 def config_to_dict(config: McmcConfig, sample_format="npz"):
-    doc = {
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "thin": config.thin,
-        "seed": config.seed,
-        "adapt_proposals": config.adapt_proposals,
-        "sample_format": sample_format,
-        "hyper": dataclasses.asdict(config.hyper),
-    }
-    if config.fixed_b_support is not None:
-        doc["fixed_b_support"] = np.asarray(config.fixed_b_support).tolist()
+    doc = dataclasses.asdict(config)
+    doc["sample_format"] = sample_format
+    support = doc.pop("fixed_b_support")
+    if support is not None:
+        doc["fixed_b_support"] = np.asarray(support).tolist()
     return doc
 
 
+# The array fields of FitSummary; summary.json also holds its sparse estimates.
+_SUMMARY_ARRAYS = [f.name for f in dataclasses.fields(FitSummary) if f.name.startswith(("pip_", "mean_", "ci_"))]
+
+
 def summary_to_dict(fit):
-    return {
-        "instrument_mode": fit.instrument_mode,
-        "thresholds": {"a": fit.threshold_a, "b": fit.threshold_b, "z": fit.threshold_z},
-        "pip_a": fit.pip_a.tolist(),
-        "pip_b": fit.pip_b.tolist(),
-        "pip_z": fit.pip_z.tolist(),
-        "mean_a": fit.mean_a.tolist(),
-        "mean_b": fit.mean_b.tolist(),
-        "mean_c": fit.mean_c.tolist(),
-        "mean_sigma_star": fit.mean_sigma_star.tolist(),
-        "sparse_a": fit.sparse_a.tolist(),
-        "sparse_b": fit.sparse_b.tolist(),
-        "sparse_sigma_star": fit.sparse_sigma_star.tolist(),
-        "ci_a": fit.ci_a.tolist(),
-        "ci_b": fit.ci_b.tolist(),
-        "ci_c": fit.ci_c.tolist(),
-        "ci_sigma_star": fit.ci_sigma_star.tolist(),
-    }
+    doc = {name: getattr(fit, name).tolist() for name in _SUMMARY_ARRAYS}
+    for name in ("sparse_a", "sparse_b", "sparse_sigma_star"):
+        doc[name] = getattr(fit, name).tolist()
+    doc["instrument_mode"] = fit.instrument_mode
+    doc["thresholds"] = {"a": fit.threshold_a, "b": fit.threshold_b, "z": fit.threshold_z}
+    return doc
+
+
+def summary_from_dict(doc, threshold_a, threshold_b, threshold_z):
+    """Read a summary document back; its sparse estimates follow the given thresholds."""
+    return FitSummary(
+        **{name: np.asarray(doc[name], dtype=float) for name in _SUMMARY_ARRAYS},
+        threshold_a=threshold_a,
+        threshold_b=threshold_b,
+        threshold_z=threshold_z,
+        instrument_mode=doc["instrument_mode"],
+    )
 
 
 def sha256_file(path):

@@ -18,16 +18,17 @@ import dataclasses
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
 from scipy.special import expit
 
-from .distributions import GigParams, sample_beta, sample_bernoulli, sample_gig, sample_inverse_gamma
+from .distributions import GigParams, MatrixNormalParams, sample_beta, sample_bernoulli, sample_gig
+from .distributions import sample_inverse_gamma, sample_matrix_normal
 from .model import (
     ModelParameters,
-    NotPositiveDefiniteError,
     SummaryStatistics,
     _chol_inverse,
     _chol_lower,
@@ -82,9 +83,15 @@ class Hyperparameters:
     b_prior_sd: float = 10.0
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.name != "instrument_mode" and not (numeric and math.isfinite(value)):
+                raise ValueError(f"hyperparameter {f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.nu1 < 1.0 and 0.0 < self.nu2 < 1.0):
             raise ValueError("spike shrink factors nu1, nu2 must lie in (0, 1)")
-        for name in ("a_rho", "b_rho", "a_psi", "b_psi", "lam", "tau_c", "xi_a", "xi_b", "b_prior_sd"):
+        positive = ("a_rho", "b_rho", "a_psi", "b_psi", "omega1", "lam", "tau_c", "xi_a", "xi_b", "b_prior_sd")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name} must be positive")
         if not 0.0 <= self.pi_z <= 1.0:
@@ -103,9 +110,7 @@ class LatentState:
     """Spike-and-slab indicators and scales for one MCMC state.
 
     gamma/rho/tau drive the entries of A, phi/psi/eta drive B, z the
-    confounding indicators.  aux_a/aux_b hold the auxiliary inverse-gamma
-    variables of the half-Cauchy hierarchy; they are redrawn every
-    iteration and never stored in the chain.
+    confounding indicators.
     """
 
     gamma: np.ndarray
@@ -115,8 +120,6 @@ class LatentState:
     psi: np.ndarray
     eta: np.ndarray
     z: np.ndarray
-    aux_a: np.ndarray
-    aux_b: np.ndarray
 
 
 @dataclass
@@ -140,13 +143,17 @@ class McmcConfig:
     adapt_proposals: bool = True
 
     def validate(self):
+        for name in ("iterations", "burn_in", "thin", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.adapt_proposals, (bool, np.bool_)):
+            raise ValueError(f"adapt_proposals must be true or false, got {self.adapt_proposals!r}")
         if self.iterations < 1 or self.thin < 1:
             raise ValueError("iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         self.hyper.validate()
-        if self.hyper.instrument_mode == FIXED_MAP and self.fixed_b_support is None:
-            raise ValueError("fixed-map mode requires fixed_b_support")
         return self
 
 
@@ -217,7 +224,6 @@ def update_eta(state: ChainState, hyper: Hyperparameters, rng):
     eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / latent.eta, rng)
     rate = np.where(latent.phi == 1, b * b / 2.0, b * b / (2.0 * hyper.nu2)) + 1.0 / eps
     latent.eta = sample_inverse_gamma(1.0, np.maximum(rate, 1e-300), rng)
-    latent.aux_b = eps
 
 
 def _inclusion_probability(values, scales, shrink, weights):
@@ -309,7 +315,6 @@ def update_tau(state: ChainState, hyper: Hyperparameters, rng):
     eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / latent.tau[off], rng)
     rate = np.where(latent.gamma[off] == 1, a_off * a_off / 2.0, a_off * a_off / (2.0 * hyper.nu1))
     latent.tau[off] = sample_inverse_gamma(1.0, np.maximum(rate + 1.0 / eps, 1e-300), rng)
-    latent.aux_a[off] = eps
 
 
 def update_gamma(state: ChainState, hyper: Hyperparameters, rng):
@@ -335,7 +340,8 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     a_mat = params.a
     prec = _precision(params.sigma_star)
     f = np.eye(p) - a_mat
-    f_inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(f, check_finite=False), np.eye(p), check_finite=False)
+    lu, piv, _ = dgetrf(f)
+    f_inv, _ = dgetrs(lu, piv, np.eye(p))
     h1 = prec @ f @ stats.s_yy
     h2 = prec @ params.b @ stats.s_yx.T
     h3 = prec @ params.c @ stats.s_yu.T if stats.dims.l else np.zeros((p, p))
@@ -384,12 +390,7 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     col_cov = _chol_inverse(chol)
     f = np.eye(params.p) - params.a
     mean = (n * f @ stats.s_yu - n * params.b @ stats.s_xu) @ col_cov
-    l_row = _chol_lower(params.sigma_star)
-    if l_row is None:
-        raise NumericalError("Sigma* lost positive definiteness")
-    l_col = _chol_lower(col_cov)
-    z = rng.standard_normal(mean.shape)
-    params.c = mean + l_row @ z @ l_col.T
+    params.c = sample_matrix_normal(MatrixNormalParams(mean, params.sigma_star, col_cov), rng)
     state.log_lik = log_likelihood_summary(params, stats)
 
 
@@ -455,10 +456,8 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         if chol_prec is None:
             raise NumericalError("error-covariance column precision is not positive definite")
         w = inv11 @ s12 / v_cur
-        mean_u = scipy.linalg.cho_solve((chol_prec, True), w, check_finite=False)
-        noise = scipy.linalg.solve_triangular(
-            chol_prec, rng.standard_normal(p - 1), lower=True, trans="T", check_finite=False
-        )
+        mean_u, _ = dpotrs(chol_prec, w, lower=1)
+        noise, _ = dtrtrs(chol_prec, rng.standard_normal(p - 1), lower=1, trans=1)
         u = mean_u + noise
 
         quad = float(u @ inv11_s11_inv11 @ u - 2.0 * (s12 @ inv11 @ u) + s22)
@@ -471,9 +470,10 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         sigma[j, rest] = u
         sigma[j, j] = v_new + float(u @ inv11 @ u)
 
-    if _chol_lower(sigma) is None:
+    log_lik = log_likelihood_summary(params, stats)
+    if not math.isfinite(log_lik):
         raise NumericalError("Sigma* is not positive definite after the blocked Gibbs sweep")
-    state.log_lik = log_likelihood_summary(params, stats)
+    state.log_lik = log_lik
 
 
 def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_support=None) -> ChainState:
@@ -487,6 +487,8 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
     p, k, l = dims.p, dims.k, dims.l
     b0 = np.zeros((p, k))
     if hyper.instrument_mode == FIXED_MAP:
+        if fixed_b_support is None:
+            raise ValueError("fixed-map mode requires fixed_b_support")
         support = np.asarray(fixed_b_support, dtype=int)
         if support.shape != (p, k):
             raise ValueError(f"fixed_b_support has shape {support.shape}, expected {(p, k)}")
@@ -511,8 +513,6 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
         psi=np.full((p, k), 0.5),
         eta=np.ones((p, k)),
         z=np.ones((p, p), dtype=int),
-        aux_a=np.ones((p, p)),
-        aux_b=np.ones((p, k)),
     )
     log_lik = log_likelihood_summary(params, stats)
     if not math.isfinite(log_lik):

@@ -9,11 +9,11 @@ whenever the summary statistics were computed from the raw data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -183,10 +183,8 @@ def logabsdet_i_minus_a(a):
 
 
 def _logabsdet(f):
-    with warnings.catch_warnings():
-        # Exact singularity is an expected, handled outcome here.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(f, check_finite=False)
+    # LAPACK getrf, as in scipy.linalg.lu_factor; an exact zero pivot is handled below.
+    lu, _, _ = dgetrf(f)
     pivots = np.abs(np.diag(lu))
     if pivots.min(initial=1.0) < SINGULAR_PIVOT_TOL:
         return None
@@ -194,17 +192,19 @@ def _logabsdet(f):
 
 
 def _chol_lower(sigma):
-    """Lower Cholesky factor of a symmetric matrix, or None if not PD."""
-    try:
-        return scipy.linalg.cholesky(sigma, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None
+    """Lower Cholesky factor of a symmetric matrix, or None if not PD.
+
+    LAPACK is called directly: scipy.linalg.cholesky runs the same routine,
+    but at these sizes its argument handling costs more than the factorization.
+    """
+    chol, info = dpotrf(sigma, lower=1, clean=1)
+    return chol if info == 0 else None
 
 
 def _chol_inverse(chol_l):
-    """Invert a matrix from its lower Cholesky factor."""
-    identity = np.eye(chol_l.shape[0])
-    return scipy.linalg.cho_solve((chol_l, True), identity, check_finite=False)
+    """Invert a matrix from its lower Cholesky factor (LAPACK potrs, as scipy.linalg.cho_solve)."""
+    inverse, _ = dpotrs(chol_l, np.eye(chol_l.shape[0]), lower=1)
+    return inverse
 
 
 def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:

@@ -27,9 +27,6 @@ class FitSummary:
     mean_b: np.ndarray
     mean_c: np.ndarray
     mean_sigma_star: np.ndarray
-    sparse_a: np.ndarray
-    sparse_b: np.ndarray
-    sparse_sigma_star: np.ndarray
     ci_a: np.ndarray
     ci_b: np.ndarray
     ci_c: np.ndarray
@@ -38,6 +35,22 @@ class FitSummary:
     threshold_b: float
     threshold_z: float
     instrument_mode: str
+
+    @property
+    def sparse_a(self):
+        sparse = self.mean_a * (self.pip_a >= self.threshold_a)
+        np.fill_diagonal(sparse, 0.0)
+        return sparse
+
+    @property
+    def sparse_b(self):
+        return self.mean_b * (self.pip_b >= self.threshold_b)
+
+    @property
+    def sparse_sigma_star(self):
+        sparse = self.mean_sigma_star * (self.pip_z >= self.threshold_z)
+        np.fill_diagonal(sparse, np.diag(self.mean_sigma_star))
+        return sparse
 
 
 def _credible_interval(samples):
@@ -56,29 +69,14 @@ def summarize(chain: Chain, threshold_a=0.5, threshold_b=0.5, threshold_z=0.5) -
     if chain.n_samples == 0:
         raise ValueError("chain holds no stored samples")
     mode = chain.config.hyper.instrument_mode
-    pip_a = chain.gamma.mean(axis=0)
-    pip_z = chain.z.mean(axis=0)
-    pip_b = chain.phi.mean(axis=0) if mode == SELECTION else chain.phi[0].astype(float)
-    mean_a = chain.a.mean(axis=0)
-    mean_b = chain.b.mean(axis=0)
-    mean_c = chain.c.mean(axis=0)
-    mean_sigma = chain.sigma_star.mean(axis=0)
-    sparse_a = mean_a * (pip_a >= threshold_a)
-    np.fill_diagonal(sparse_a, 0.0)
-    sparse_b = mean_b * (pip_b >= threshold_b)
-    sparse_sigma = mean_sigma * (pip_z >= threshold_z)
-    np.fill_diagonal(sparse_sigma, np.diag(mean_sigma))
     return FitSummary(
-        pip_a=pip_a,
-        pip_b=pip_b,
-        pip_z=pip_z,
-        mean_a=mean_a,
-        mean_b=mean_b,
-        mean_c=mean_c,
-        mean_sigma_star=mean_sigma,
-        sparse_a=sparse_a,
-        sparse_b=sparse_b,
-        sparse_sigma_star=sparse_sigma,
+        pip_a=chain.gamma.mean(axis=0),
+        pip_b=chain.phi.mean(axis=0) if mode == SELECTION else chain.phi[0].astype(float),
+        pip_z=chain.z.mean(axis=0),
+        mean_a=chain.a.mean(axis=0),
+        mean_b=chain.b.mean(axis=0),
+        mean_c=chain.c.mean(axis=0),
+        mean_sigma_star=chain.sigma_star.mean(axis=0),
         ci_a=_credible_interval(chain.a),
         ci_b=_credible_interval(chain.b),
         ci_c=_credible_interval(chain.c),

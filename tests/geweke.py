@@ -5,18 +5,61 @@ correct: directly from prior + data model, and by alternating one MCMC
 sweep with a fresh data redraw.  Heavy-tailed quantities (half-Cauchy
 scales and their children) are compared through bounded or log
 transforms, since their raw prior moments do not exist.
+
+Two models are covered: the selection-mode micro-model (p=2, k=2, no
+covariates) and a fixed-map model with covariates, which runs the
+fixed-map branch of update_b, update_c and a vector column in the
+Sigma* sweep.
 """
 
 import numpy as np
 import scipy.linalg
 
-from cyclemr.distributions import sample_inverse_gamma
-from cyclemr.mcmc import ChainState, Hyperparameters, LatentState, mcmc_sweep
+from cyclemr.distributions import MatrixNormalParams, sample_inverse_gamma, sample_matrix_normal
+from cyclemr.mcmc import FIXED_MAP, ChainState, Hyperparameters, LatentState, mcmc_sweep
 from cyclemr.model import ModelParameters, RawDataSet, compute_sufficient_stats
 
 
-def sample_prior_state(p, k, hyper, rng):
-    """Exact draw from the joint prior, via the half-Cauchy hierarchy and PD rejection."""
+def _sample_prior_sigma(p, l, hyper, rng):
+    """Sigma* from its spike-and-slab prior tilted by |Sigma*|^(l/2).
+
+    The kernel's C prior is matrix normal MN(0, Sigma*, tau_c I_l)
+    (update_c draws from that prior times the likelihood, and
+    residual_scatter adds its C C' / tau_c term to the Sigma* scatter),
+    but the Sigma* sweep leaves out that prior's |Sigma*|^(-l/2)
+    normalizer (its GIG order is 1 - n/2).  The joint prior the kernel
+    targets therefore has Sigma* marginal proportional to the
+    spike-and-slab prior times |Sigma*|^(l/2).  It is drawn by rejection:
+    the diagonal from Gamma(1 + l/2, rate lam/2), accepted with
+    probability (|Sigma*| / prod diag)^(l/2) <= 1 (Hadamard's
+    inequality).  With l = 0 this is the plain prior with PD rejection.
+    """
+    iu = np.triu_indices(p, 1)
+    while True:
+        z_off = (rng.random(iu[0].size) < hyper.pi_z).astype(int)
+        sigma = np.zeros((p, p))
+        off = rng.normal(0.0, np.where(z_off == 1, hyper.omega1, hyper.omega2))
+        sigma[iu] = off
+        sigma.T[iu] = off
+        if l:
+            sigma[np.diag_indices(p)] = rng.gamma(1.0 + l / 2.0, 2.0 / hyper.lam, p)
+        else:
+            sigma[np.diag_indices(p)] = rng.exponential(2.0 / hyper.lam, p)
+        try:
+            chol = scipy.linalg.cholesky(sigma, lower=True)
+        except scipy.linalg.LinAlgError:
+            continue
+        if not l or rng.random() < np.prod(np.diag(chol) ** 2 / np.diag(sigma)) ** (l / 2.0):
+            return sigma, z_off
+
+
+def sample_prior_state(p, k, hyper, rng, l=0, support=None):
+    """Exact draw from the joint prior, via the half-Cauchy hierarchy and PD rejection.
+
+    In fixed-map mode (support given) B is N(0, b_prior_sd^2) on the
+    support and zero elsewhere, and psi, eta keep the constants the
+    kernel never updates.
+    """
     rho = rng.beta(hyper.a_rho, hyper.b_rho, (p, p))
     gamma = (rng.random((p, p)) < rho).astype(int)
     np.fill_diagonal(gamma, 0)
@@ -25,81 +68,89 @@ def sample_prior_state(p, k, hyper, rng):
     a = rng.normal(0.0, np.sqrt(np.where(gamma == 1, tau, hyper.nu1 * tau)))
     np.fill_diagonal(a, 0.0)
 
-    psi = rng.beta(hyper.a_psi, hyper.b_psi, (p, k))
-    phi = (rng.random((p, k)) < psi).astype(int)
-    aux_b = sample_inverse_gamma(0.5, np.ones((p, k)), rng)
-    eta = sample_inverse_gamma(0.5, 1.0 / aux_b, rng)
-    b = rng.normal(0.0, np.sqrt(np.where(phi == 1, eta, hyper.nu2 * eta)))
+    if support is None:
+        psi = rng.beta(hyper.a_psi, hyper.b_psi, (p, k))
+        phi = (rng.random((p, k)) < psi).astype(int)
+        aux_b = sample_inverse_gamma(0.5, np.ones((p, k)), rng)
+        eta = sample_inverse_gamma(0.5, 1.0 / aux_b, rng)
+        b = rng.normal(0.0, np.sqrt(np.where(phi == 1, eta, hyper.nu2 * eta)))
+    else:
+        psi, phi, eta = np.full((p, k), 0.5), support.copy(), np.ones((p, k))
+        b = np.where(support == 1, rng.normal(0.0, hyper.b_prior_sd, (p, k)), 0.0)
 
+    sigma, z_off = _sample_prior_sigma(p, l, hyper, rng)
     iu = np.triu_indices(p, 1)
-    while True:
-        z_off = (rng.random(iu[0].size) < hyper.pi_z).astype(int)
-        sigma = np.zeros((p, p))
-        off = rng.normal(0.0, np.where(z_off == 1, hyper.omega1, hyper.omega2))
-        sigma[iu] = off
-        sigma.T[iu] = off
-        sigma[np.diag_indices(p)] = rng.exponential(2.0 / hyper.lam, p)
-        try:
-            scipy.linalg.cholesky(sigma, lower=True)
-            break
-        except scipy.linalg.LinAlgError:
-            continue
     z = np.ones((p, p), dtype=int)
     z[iu] = z_off
     z.T[iu] = z_off
+    c = np.zeros((p, 0))
+    if l:
+        c = sample_matrix_normal(MatrixNormalParams(np.zeros((p, l)), sigma, hyper.tau_c * np.eye(l)), rng)
 
-    params = ModelParameters(a=a, b=b, c=np.zeros((p, 0)), sigma_star=sigma)
-    latent = LatentState(
-        gamma=gamma, rho=rho, tau=tau, phi=phi, psi=psi, eta=eta, z=z,
-        aux_a=aux_a, aux_b=aux_b,
-    )
+    params = ModelParameters(a=a, b=b, c=c, sigma_star=sigma)
+    latent = LatentState(gamma=gamma, rho=rho, tau=tau, phi=phi, psi=psi, eta=eta, z=z)
     return ChainState(params=params, latent=latent, log_lik=0.0)
 
 
-def simulate_data(params, x, rng):
-    """Draw traits from the structural model conditional on fixed instruments."""
+def simulate_data(params, x, u, rng):
+    """Draw traits from the structural model conditional on fixed instruments and covariates."""
     n, _ = x.shape
     p = params.p
     noise = rng.multivariate_normal(np.zeros(p), params.sigma_star, size=n)
     f = np.eye(p) - params.a
-    y = scipy.linalg.solve(f, (x @ params.b.T + noise).T, check_finite=False).T
-    return RawDataSet(y=y, x=x, u=np.zeros((n, 0)))
+    rhs = x @ params.b.T + noise
+    if u.shape[1]:
+        rhs += u @ params.c.T
+    y = scipy.linalg.solve(f, rhs.T, check_finite=False).T
+    return RawDataSet(y=y, x=x, u=u)
 
 
-def state_functionals(state):
-    """Bounded/stabilized test functions of one chain state."""
+def state_functionals(state, hyper):
+    """Bounded/stabilized test functions of one chain state.
+
+    The selection-step latents phi, psi and eta are left out in fixed-map
+    mode, where the kernel does not update them.
+    """
     params, latent = state.params, state.latent
     p = params.a.shape[0]
     off = ~np.eye(p, dtype=bool)
     iu = np.triu_indices(p, 1)
+    selection = hyper.instrument_mode != FIXED_MAP
     vals = [
         *np.arctan(params.a[off]),
         *np.arctan(params.b.ravel()),
         *np.arctan(params.sigma_star[iu]),
         *np.log(np.diag(params.sigma_star)),
         *latent.gamma[off].astype(float),
-        *latent.phi.ravel().astype(float),
+        *(latent.phi.ravel().astype(float) if selection else []),
         *latent.z[iu].astype(float),
         *latent.rho[off],
-        *latent.psi.ravel(),
+        *(latent.psi.ravel() if selection else []),
         *np.log(latent.tau[off]),
-        *np.log(latent.eta.ravel()),
+        *(np.log(latent.eta.ravel()) if selection else []),
+        *np.arctan(params.c.ravel()),
     ]
     return np.array(vals)
 
 
-def run_marginal_conditional(p, k, n, hyper, draws, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _design(n, k, l, rng):
     x = rng.standard_normal((n, k))
-    rows = np.empty((draws, _functional_count(p, k)))
-    for i in range(draws):
-        state = sample_prior_state(p, k, hyper, rng)
-        simulate_data(state.params, x, rng)  # data drawn for parity; g uses state only
-        rows[i] = state_functionals(state)
-    return rows
+    u = rng.standard_normal((n, l)) if l else np.zeros((n, 0))
+    return x, u
 
 
-def run_successive_conditional(p, k, n, hyper, replicates, length, seed):
+def run_marginal_conditional(p, k, n, hyper, draws, seed, l=0, support=None):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x, u = _design(n, k, l, rng)
+    rows = []
+    for _ in range(draws):
+        state = sample_prior_state(p, k, hyper, rng, l, support)
+        simulate_data(state.params, x, u, rng)  # data drawn for parity; g uses state only
+        rows.append(state_functionals(state, hyper))
+    return np.array(rows)
+
+
+def run_successive_conditional(p, k, n, hyper, replicates, length, seed, l=0, support=None):
     """Restarted successive-conditional simulator.
 
     Each replicate starts from an exact prior draw (so every sweep is
@@ -110,25 +161,19 @@ def run_successive_conditional(p, k, n, hyper, replicates, length, seed):
     make a single chain mix arbitrarily slowly.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((n, k))
-    rows = np.empty((replicates, _functional_count(p, k)))
-    for i in range(replicates):
-        state = sample_prior_state(p, k, hyper, rng)
-        data = simulate_data(state.params, x, rng)
+    x, u = _design(n, k, l, rng)
+    rows = []
+    for _ in range(replicates):
+        state = sample_prior_state(p, k, hyper, rng, l, support)
+        data = simulate_data(state.params, x, u, rng)
         stats = compute_sufficient_stats(data)
         for _ in range(length):
             state.log_lik = 0.0
             mcmc_sweep(state, stats, hyper, rng)
-            data = simulate_data(state.params, x, rng)
+            data = simulate_data(state.params, x, u, rng)
             stats = compute_sufficient_stats(data)
-        rows[i] = state_functionals(state)
-    return rows
-
-
-def _functional_count(p, k):
-    n_off = p * p - p
-    n_iu = p * (p - 1) // 2
-    return 2 * n_off + 2 * (p * k) + n_iu + p + n_off + p * k + n_iu + n_off + p * k
+        rows.append(state_functionals(state, hyper))
+    return np.array(rows)
 
 
 def compare_moments(mc_rows, sc_rows):
@@ -153,4 +198,23 @@ def geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2024, n=30):
     replicates = total_sweeps // chain_length
     mc = run_marginal_conditional(2, 2, n, hyper, replicates, seed)
     sc = run_successive_conditional(2, 2, n, hyper, replicates, chain_length, seed + 1)
+    return compare_moments(mc, sc)
+
+
+# Fixed-map model: p=3 traits, k=4 instruments (one pleiotropic), l=1 covariate.
+FIXED_MAP_SUPPORT = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+
+
+def geweke_fixed_map_test(total_sweeps=30_000, chain_length=10, seed=2025, n=30):
+    """Run the full comparison on the fixed-map p=3, k=4, l=1 model."""
+    hyper = Hyperparameters(
+        nu1=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
+        tau_c=1.0, xi_a=0.2, xi_b=0.2, instrument_mode=FIXED_MAP, b_prior_sd=2.0,
+    )
+    p, k = FIXED_MAP_SUPPORT.shape
+    replicates = total_sweeps // chain_length
+    mc = run_marginal_conditional(p, k, n, hyper, replicates, seed, l=1, support=FIXED_MAP_SUPPORT)
+    sc = run_successive_conditional(
+        p, k, n, hyper, replicates, chain_length, seed + 1, l=1, support=FIXED_MAP_SUPPORT
+    )
     return compare_moments(mc, sc)

@@ -32,7 +32,7 @@ from cyclemr.model import (
 from cyclemr.simulate import CaseSpec, gen_data, gen_truth
 from cyclemr.summary import summarize
 
-from geweke import geweke_micro_test
+from geweke import geweke_fixed_map_test, geweke_micro_test
 from test_model import random_instance
 
 
@@ -134,6 +134,18 @@ class TestAcceptance:
         _report(
             3,
             "marginal- vs successive-conditional moments agree within 4 SE",
+            worst < 4.0 and elapsed < 300.0,
+            f"max |z| {worst:.2f} over {zs.size} comparisons, {elapsed:.0f}s",
+        )
+
+    def test_criterion_3_geweke_fixed_map_with_covariates(self):
+        started = time.monotonic()
+        zs = geweke_fixed_map_test(total_sweeps=30_000, chain_length=10, seed=2025, n=30)
+        elapsed = time.monotonic() - started
+        worst = float(np.abs(zs).max())
+        _report(
+            3,
+            "fixed-map, l=1: marginal- vs successive-conditional moments agree within 4 SE",
             worst < 4.0 and elapsed < 300.0,
             f"max |z| {worst:.2f} over {zs.size} comparisons, {elapsed:.0f}s",
         )

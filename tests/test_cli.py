@@ -130,6 +130,51 @@ class TestFitCommand:
         assert code == 3
         assert "typo_key" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            '"hyper": {"instrument_mode": "selection", "lam": NaN}',
+            '"hyper": {"instrument_mode": "selection", "omega1": NaN}',
+            '"hyper": {"instrument_mode": "selection", "xi_a": Infinity}',
+            '"hyper": {"instrument_mode": "selection", "nu1": "0.1"}',
+            '"hyper": {"instrument_mode": "selection", "tau_c": true}',
+            '"hyper": 3',
+            '"adapt_proposals": "false"',
+            '"iterations": 20.9',
+            '"burn_in": "5"',
+            '"thin": 1.5',
+            '"seed": 0.5',
+            '"fixed_b_support": [[1, null, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]',
+        ],
+        ids=[
+            "lam-nan", "omega1-nan", "xi_a-infinity", "nu1-string", "tau_c-bool", "hyper-not-object",
+            "adapt_proposals-string", "iterations-fractional", "burn_in-string", "thin-fractional",
+            "seed-fractional", "fixed_b_support-null",
+        ],
+    )
+    def test_malformed_config_exits_3(self, tmp_path, capsys, overrides):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 2, "--out", sim)
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"iterations": 20, "burn_in": 5, "thin": 1, "seed": 1, ' + overrides + "}")
+        out = tmp_path / "f"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", cfg, "--out", out, "--mode", "rgm-plus")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "ValueError"
+        assert not out.exists()
+
+    def test_integral_float_counts_load(self, tmp_path):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 2, "--out", sim)
+        cfg = small_config(tmp_path, iterations=1.2e2, burn_in=4e1, thin=4.0)
+        fit_dir = tmp_path / "fit"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", cfg, "--out", fit_dir, "--mode", "rgm-plus")
+        assert code == 0
+        iterations = read_json(fit_dir / "manifest.json")["config"]["iterations"]
+        assert iterations == 120 and isinstance(iterations, int)
+        assert read_json(fit_dir / "diagnostics.json")["n_samples"] == 20
+
     def test_missing_stats_file(self, tmp_path, capsys):
         code = run_cli("fit", "--stats", tmp_path / "nope.json", "--out", tmp_path / "f")
         assert code == 3

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from cyclemr.mcmc import FIXED_MAP, SELECTION, Chain, Hyperparameters, McmcConfig
+from cyclemr.io import summary_from_dict, summary_to_dict
+from cyclemr.mcmc import FIXED_MAP, SELECTION, Chain, Hyperparameters, McmcConfig, run_chain
+from cyclemr.model import RawDataSet, compute_sufficient_stats
 from cyclemr.summary import summarize, total_effect_trivariate
 
 
@@ -116,6 +119,33 @@ class TestSummarize:
     def test_diagonal_sparse_a_zero(self):
         fit = summarize(four_sample_chain())
         assert np.all(np.diag(fit.sparse_a) == 0.0)
+
+
+class TestSummaryDocument:
+    def test_round_trip_at_other_thresholds(self):
+        """Reading summary.json back at new thresholds equals summarizing the chain at them."""
+        rng = np.random.default_rng(31)
+        n = 40
+        data = RawDataSet(
+            y=rng.standard_normal((n, 3)), x=rng.standard_normal((n, 2)), u=rng.standard_normal((n, 1))
+        )
+        config = McmcConfig(
+            iterations=300, burn_in=100, thin=2, seed=7, hyper=Hyperparameters(instrument_mode=SELECTION)
+        )
+        chain = run_chain(compute_sufficient_stats(data), config)
+        thresholds = (0.3, 0.7, 0.9)
+        doc = json.loads(json.dumps(summary_to_dict(summarize(chain))))
+        back = summary_from_dict(doc, *thresholds)
+        direct = summarize(chain, *thresholds)
+        for f in dataclasses.fields(direct):
+            np.testing.assert_array_equal(getattr(back, f.name), getattr(direct, f.name), err_msg=f.name)
+        for name in ("sparse_a", "sparse_b", "sparse_sigma_star"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(direct, name), err_msg=name)
+        # The thresholds matter: the document's own sparse estimates differ.
+        assert any(
+            not np.array_equal(np.asarray(doc[name]), getattr(direct, name))
+            for name in ("sparse_a", "sparse_b", "sparse_sigma_star")
+        )
 
 
 class TestTotalEffect:
