@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,18 @@ def stats_to_dict(stats: SummaryStatistics):
     }
 
 
+def _stats_count(key, value):
+    """An integer count of the stats document; integral floats such as 3e4 load, bools do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"stats {key} must be an integer, got {value!r}")
+    return value
+
+
 def stats_from_dict(doc) -> SummaryStatistics:
+    if not isinstance(doc, dict):
+        raise ValueError("stats document must be a JSON object")
     expected = {"n", "p", "k", "l", "s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"}
     unknown = set(doc) - expected
     if unknown:
@@ -89,7 +101,7 @@ def stats_from_dict(doc) -> SummaryStatistics:
     missing = expected - set(doc)
     if missing:
         raise ValueError(f"missing keys in stats document: {sorted(missing)}")
-    dims = Dimensions(p=doc["p"], k=doc["k"], l=doc["l"], n=doc["n"])
+    dims = Dimensions(**{key: _stats_count(key, doc[key]) for key in ("p", "k", "l", "n")})
 
     def block(key, shape):
         arr = np.asarray(doc[key], dtype=float).reshape(shape)
@@ -108,6 +120,9 @@ def stats_from_dict(doc) -> SummaryStatistics:
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McmcConfig)}
 _HYPER_KEYS = {f.name for f in dataclasses.fields(Hyperparameters)}
+# Accepted and ignored, so that config files of earlier versions still load: xi_b was the
+# proposal variance of a random walk on B, which is drawn exactly.
+_IGNORED_HYPER_KEYS = {"xi_b"}
 
 
 def _config_value(name, value):
@@ -131,11 +146,11 @@ def config_from_dict(doc):
     hyper_doc = doc.get("hyper", {})
     if not isinstance(hyper_doc, dict):
         raise ValueError("config hyper block must be a JSON object")
-    unknown_hyper = set(hyper_doc) - _HYPER_KEYS
+    unknown_hyper = set(hyper_doc) - _HYPER_KEYS - _IGNORED_HYPER_KEYS
     if unknown_hyper:
         raise ValueError(f"unknown keys in config hyper block: {sorted(unknown_hyper)}")
     kwargs = {name: _config_value(name, value) for name, value in doc.items() if name in _CONFIG_FIELDS}
-    kwargs["hyper"] = Hyperparameters(**hyper_doc)
+    kwargs["hyper"] = Hyperparameters(**{name: value for name, value in hyper_doc.items() if name in _HYPER_KEYS})
     if kwargs.get("fixed_b_support") is not None:
         support = np.asarray(kwargs["fixed_b_support"], dtype=float)
         if not np.isin(support, (0.0, 1.0)).all():

@@ -2,10 +2,11 @@
 
 One iteration applies, in order: Beta updates for the instrument-slab
 weights, the half-Cauchy scale hierarchy and inclusion indicators for B,
-random-walk Metropolis on B entries, the mirrored four updates for A, an
-exact matrix-normal Gibbs draw for C, Bernoulli updates for the
-confounding indicators, and a column-wise blocked Gibbs draw for the
-error covariance that preserves positive definiteness by construction.
+an exact blocked Gibbs draw of B, the mirrored four updates for A (whose
+entries move by random-walk Metropolis), an exact matrix-normal Gibbs
+draw for C, Bernoulli updates for the confounding indicators, and a
+column-wise blocked Gibbs draw for the error covariance that preserves
+positive definiteness by construction.
 
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
@@ -44,7 +45,7 @@ SELECTION = "selection"
 # Floor for the GIG quadratic argument; only reachable through rounding.
 GIG_QUAD_FLOOR = 1e-12
 
-# Robbins-Monro target acceptance rate for the random-walk proposals.
+# Robbins-Monro target acceptance rate for the random-walk proposals on A.
 ADAPT_TARGET = 0.35
 
 
@@ -58,7 +59,8 @@ class Hyperparameters:
 
     nu1/nu2 are the spike shrink factors for A and B, lam is both the
     exponential rate on the error-covariance diagonal and the linear GIG
-    rate, and xi_a/xi_b are random-walk proposal variances.
+    rate, and xi_a is the random-walk proposal variance for A.  B is
+    drawn exactly and needs no proposal.
 
     The default nu1 is much smaller than nu2 because causal effects live
     on a far smaller scale than instrument effects; a 1e-2 shrink leaves
@@ -78,7 +80,6 @@ class Hyperparameters:
     lam: float = 5.0
     tau_c: float = 10.0
     xi_a: float = 0.01
-    xi_b: float = 0.01
     instrument_mode: str = FIXED_MAP
     b_prior_sd: float = 10.0
 
@@ -90,7 +91,7 @@ class Hyperparameters:
                 raise ValueError(f"hyperparameter {f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.nu1 < 1.0 and 0.0 < self.nu2 < 1.0):
             raise ValueError("spike shrink factors nu1, nu2 must lie in (0, 1)")
-        positive = ("a_rho", "b_rho", "a_psi", "b_psi", "omega1", "lam", "tau_c", "xi_a", "xi_b", "b_prior_sd")
+        positive = ("a_rho", "b_rho", "a_psi", "b_psi", "omega1", "lam", "tau_c", "xi_a", "b_prior_sd")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name} must be positive")
@@ -173,7 +174,6 @@ class Chain:
     accept_rate_a: float
     accept_rate_b: float
     xi_a: float
-    xi_b: float
     config: McmcConfig
 
     @property
@@ -186,6 +186,16 @@ def _precision(sigma_star):
     if chol is None:
         raise NumericalError("Sigma* lost positive definiteness")
     return _chol_inverse(chol)
+
+
+def _draw_gaussian(prec, linear, rng, what):
+    """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec."""
+    chol = _chol_lower(prec)
+    if chol is None:
+        raise NumericalError(f"{what} precision is not positive definite")
+    mean, _ = dpotrs(chol, linear, lower=1)
+    noise, _ = dtrtrs(chol, rng.standard_normal(linear.shape[0]), lower=1, trans=1)
+    return mean + noise
 
 
 def _offdiag_pairs(p):
@@ -202,13 +212,6 @@ def _column_partitions(p):
         rest.setflags(write=False)
         out.append((rest, np.ix_(rest, rest)))
     return out
-
-
-def _active_b_pairs(latent, hyper):
-    if hyper.instrument_mode == SELECTION:
-        pj, pk = latent.phi.shape
-        return [(j, h) for j in range(pj) for h in range(pk)]
-    return [tuple(idx) for idx in np.argwhere(latent.phi == 1)]
 
 
 def update_psi(state: ChainState, hyper: Hyperparameters, rng):
@@ -249,55 +252,45 @@ def update_phi(state: ChainState, hyper: Hyperparameters, rng):
     latent.phi = sample_bernoulli(p_phi, rng)
 
 
-def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng, xi=None):
-    """Step 4: entrywise random-walk Metropolis on the active entries of B.
+def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
+    """Step 4: exact Gibbs draw of the active entries of B, block by block.
 
-    Single-entry proposals only shift the quadratic form, so the
-    acceptance ratio is evaluated from rank-one cache updates rather than
-    full likelihood recomputations; the cached log-likelihood is advanced
-    by the same increments.
+    Fixed-map mode draws the whole support as one block, selection mode
+    one row at a time.  Given the rest, a block E = (rows r, cols c) is
+    Gaussian with precision L + diag(1 / prior variance), where
+    L = n Omega[r, r'] S_xx[c, c'] and Omega = Sigma*^-1, and linear term
+    n (Omega (M - B S_xx))[E] + L b_E with M = (I - A) S_yx - C S_xu'.
+    The cached log-likelihood advances by the exact quadratic increment.
+    Returns (drawn, drawn): every draw is accepted.
     """
-    pairs = _active_b_pairs(state.latent, hyper)
-    if not pairs:
-        return 0, 0
-    n = stats.dims.n
     params, latent = state.params, state.latent
-    b_mat = params.b
+    n = stats.dims.n
     prec = _precision(params.sigma_star)
-    f = np.eye(params.p) - params.a
-    g1 = prec @ f @ stats.s_yx
-    g2 = prec @ b_mat @ stats.s_xx
-    g3 = prec @ params.c @ stats.s_xu.T if stats.dims.l else np.zeros_like(b_mat)
-    prec_diag = np.diag(prec).copy()
-    sxx_diag = np.diag(stats.s_xx).copy()
-    sd = math.sqrt(hyper.xi_b if xi is None else xi)
-    selection = hyper.instrument_mode == SELECTION
-    fixed_var = hyper.b_prior_sd**2
-    deltas = (sd * rng.standard_normal(len(pairs))).tolist()
-    uniforms = rng.random(len(pairs)).tolist()
-    log_lik = state.log_lik
-    accepted = 0
-    for i, (j, h) in enumerate(pairs):
-        cur = b_mat[j, h]
-        delta = deltas[i]
-        new = cur + delta
-        d_quad = (
-            2.0 * delta * (g2[j, h] - g1[j, h] + g3[j, h])
-            + delta * delta * prec_diag[j] * sxx_diag[h]
-        )
-        d_ll = -0.5 * n * d_quad
-        if selection:
-            prior_var = latent.eta[j, h] if latent.phi[j, h] == 1 else hyper.nu2 * latent.eta[j, h]
-        else:
-            prior_var = fixed_var
-        log_alpha = d_ll - (new * new - cur * cur) / (2.0 * prior_var)
-        if log_alpha >= 0.0 or uniforms[i] < math.exp(log_alpha):
-            b_mat[j, h] = new
-            log_lik += d_ll
-            g2 += delta * np.outer(prec[:, j], stats.s_xx[h, :])
-            accepted += 1
-    state.log_lik = log_lik
-    return accepted, len(pairs)
+    if hyper.instrument_mode == SELECTION:
+        p, k = latent.phi.shape
+        blocks = [((j, slice(None)), n * prec[j, j] * stats.s_xx) for j in range(p) if k]
+        prior_var = np.where(latent.phi == 1, latent.eta, hyper.nu2 * latent.eta)
+    else:
+        rows, cols = np.nonzero(latent.phi == 1)
+        lik_prec = n * prec[rows[:, None], rows] * stats.s_xx[cols[:, None], cols]
+        blocks = [((rows, cols), lik_prec)] if rows.size else []
+        prior_var = np.full(params.b.shape, hyper.b_prior_sd**2)
+    b_mat = params.b
+    resid = (np.eye(params.p) - params.a) @ stats.s_yx - b_mat @ stats.s_xx
+    if stats.dims.l:
+        resid -= params.c @ stats.s_xu.T
+    grad = n * prec @ resid
+    drawn = 0
+    for index, lik_prec in blocks:
+        old, g = b_mat[index], grad[index]
+        new = _draw_gaussian(lik_prec + np.diag(1.0 / prior_var[index]), g + lik_prec @ old, rng, "B block")
+        delta = new - old
+        b_mat[index] = new
+        state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
+        # n Omega (B S_xx) grows by n Omega[:, r] diag(delta) S_xx[c, :]; a row block's r is one index.
+        grad -= n * (prec[:, index[0]].reshape(params.p, -1) * delta) @ stats.s_xx[index[1], :]
+        drawn += delta.size
+    return drawn, drawn
 
 
 def update_rho(state: ChainState, hyper: Hyperparameters, rng):
@@ -429,7 +422,8 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     lam = hyper.lam
     scatter = residual_scatter(params, stats, hyper.tau_c)
     sigma = params.sigma_star
-    order = 1.0 - n / 2.0
+    # |Sigma*|^(-n/2) from the likelihood and ^(-l/2) from C's matrix-normal prior.
+    order = 1.0 - (n + stats.dims.l) / 2.0
 
     if p == 1:
         quad = max(float(scatter[0, 0]), GIG_QUAD_FLOOR)
@@ -452,13 +446,8 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         v_prior = np.where(latent.z[rest, j] == 1, hyper.omega1**2, hyper.omega2**2)
         inv11_s11_inv11 = inv11 @ s11 @ inv11
         u_prec = inv11_s11_inv11 / v_cur + lam * inv11 + np.diag(1.0 / v_prior)
-        chol_prec = _chol_lower(0.5 * (u_prec + u_prec.T))
-        if chol_prec is None:
-            raise NumericalError("error-covariance column precision is not positive definite")
         w = inv11 @ s12 / v_cur
-        mean_u, _ = dpotrs(chol_prec, w, lower=1)
-        noise, _ = dtrtrs(chol_prec, rng.standard_normal(p - 1), lower=1, trans=1)
-        u = mean_u + noise
+        u = _draw_gaussian(0.5 * (u_prec + u_prec.T), w, rng, "error-covariance column")
 
         quad = float(u @ inv11_s11_inv11 @ u - 2.0 * (s12 @ inv11 @ u) + s22)
         if quad <= GIG_QUAD_FLOOR:
@@ -520,14 +509,14 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
     return ChainState(params=params, latent=latent, log_lik=log_lik)
 
 
-def mcmc_sweep(state, stats, hyper, rng, xi_a=None, xi_b=None):
-    """One full pass over the eleven updates; returns MH acceptance counts."""
+def mcmc_sweep(state, stats, hyper, rng, xi_a=None):
+    """One full pass over the eleven updates; returns (accepted, proposed) for A, then B."""
     selection = hyper.instrument_mode == SELECTION
     if selection:
         update_psi(state, hyper, rng)
         update_eta(state, hyper, rng)
         update_phi(state, hyper, rng)
-    acc_b, tot_b = update_b(state, stats, hyper, rng, xi=xi_b)
+    acc_b, tot_b = update_b(state, stats, hyper, rng)
     update_rho(state, hyper, rng)
     update_tau(state, hyper, rng)
     update_gamma(state, hyper, rng)
@@ -565,21 +554,18 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     loglik = np.empty(config.iterations)
     min_eig = np.empty(config.iterations)
 
-    xi_a, xi_b = hyper.xi_a, hyper.xi_b
+    xi_a = hyper.xi_a
     acc_a_post = tot_a_post = acc_b_post = tot_b_post = 0
     stored = 0
 
     for it in range(1, config.iterations + 1):
-        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng, xi_a=xi_a, xi_b=xi_b)
+        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng, xi_a=xi_a)
         state.iteration = it
 
         in_burn_in = it <= config.burn_in
-        if config.adapt_proposals and in_burn_in:
+        if config.adapt_proposals and in_burn_in and tot_a:
             step = 1.0 / it**0.6
-            if tot_a:
-                xi_a = min(max(xi_a * math.exp(step * (acc_a / tot_a - ADAPT_TARGET)), 1e-12), 1e4)
-            if tot_b:
-                xi_b = min(max(xi_b * math.exp(step * (acc_b / tot_b - ADAPT_TARGET)), 1e-12), 1e4)
+            xi_a = min(max(xi_a * math.exp(step * (acc_a / tot_a - ADAPT_TARGET)), 1e-12), 1e4)
         if not in_burn_in:
             acc_a_post += acc_a
             tot_a_post += tot_a
@@ -620,6 +606,5 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),
         accept_rate_b=acc_b_post / tot_b_post if tot_b_post else float("nan"),
         xi_a=xi_a,
-        xi_b=xi_b,
         config=dataclasses.replace(config),
     )

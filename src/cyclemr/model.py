@@ -84,7 +84,10 @@ class SummaryStatistics:
         _check_shape("s_uu", self.s_uu, (l, l))
 
     def validate(self, tol=1e-8):
-        """Check symmetry of the square blocks and joint positive semidefiniteness."""
+        """Check that every entry is finite, the square blocks symmetric and the joint matrix PSD."""
+        for name in ("s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has a non-finite entry")
         for name in ("s_yy", "s_xx", "s_uu"):
             block = getattr(self, name)
             if block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):

@@ -7,9 +7,9 @@ scales and their children) are compared through bounded or log
 transforms, since their raw prior moments do not exist.
 
 Two models are covered: the selection-mode micro-model (p=2, k=2, no
-covariates) and a fixed-map model with covariates, which runs the
-fixed-map branch of update_b, update_c and a vector column in the
-Sigma* sweep.
+covariates), which runs update_b's row blocks, and a fixed-map model with
+covariates, which runs update_b's single support block, update_c and a
+vector column in the Sigma* sweep.
 """
 
 import numpy as np
@@ -20,19 +20,11 @@ from cyclemr.mcmc import FIXED_MAP, ChainState, Hyperparameters, LatentState, mc
 from cyclemr.model import ModelParameters, RawDataSet, compute_sufficient_stats
 
 
-def _sample_prior_sigma(p, l, hyper, rng):
-    """Sigma* from its spike-and-slab prior tilted by |Sigma*|^(l/2).
+def _sample_prior_sigma(p, hyper, rng):
+    """Sigma* from its spike-and-slab prior, by rejection of draws that are not PD.
 
-    The kernel's C prior is matrix normal MN(0, Sigma*, tau_c I_l)
-    (update_c draws from that prior times the likelihood, and
-    residual_scatter adds its C C' / tau_c term to the Sigma* scatter),
-    but the Sigma* sweep leaves out that prior's |Sigma*|^(-l/2)
-    normalizer (its GIG order is 1 - n/2).  The joint prior the kernel
-    targets therefore has Sigma* marginal proportional to the
-    spike-and-slab prior times |Sigma*|^(l/2).  It is drawn by rejection:
-    the diagonal from Gamma(1 + l/2, rate lam/2), accepted with
-    probability (|Sigma*| / prod diag)^(l/2) <= 1 (Hadamard's
-    inequality).  With l = 0 this is the plain prior with PD rejection.
+    The C prior is matrix normal MN(0, Sigma*, tau_c I_l), drawn given
+    Sigma*, so covariates leave the marginal prior of Sigma* unchanged.
     """
     iu = np.triu_indices(p, 1)
     while True:
@@ -41,16 +33,12 @@ def _sample_prior_sigma(p, l, hyper, rng):
         off = rng.normal(0.0, np.where(z_off == 1, hyper.omega1, hyper.omega2))
         sigma[iu] = off
         sigma.T[iu] = off
-        if l:
-            sigma[np.diag_indices(p)] = rng.gamma(1.0 + l / 2.0, 2.0 / hyper.lam, p)
-        else:
-            sigma[np.diag_indices(p)] = rng.exponential(2.0 / hyper.lam, p)
+        sigma[np.diag_indices(p)] = rng.exponential(2.0 / hyper.lam, p)
         try:
-            chol = scipy.linalg.cholesky(sigma, lower=True)
+            scipy.linalg.cholesky(sigma, lower=True)
         except scipy.linalg.LinAlgError:
             continue
-        if not l or rng.random() < np.prod(np.diag(chol) ** 2 / np.diag(sigma)) ** (l / 2.0):
-            return sigma, z_off
+        return sigma, z_off
 
 
 def sample_prior_state(p, k, hyper, rng, l=0, support=None):
@@ -78,7 +66,7 @@ def sample_prior_state(p, k, hyper, rng, l=0, support=None):
         psi, phi, eta = np.full((p, k), 0.5), support.copy(), np.ones((p, k))
         b = np.where(support == 1, rng.normal(0.0, hyper.b_prior_sd, (p, k)), 0.0)
 
-    sigma, z_off = _sample_prior_sigma(p, l, hyper, rng)
+    sigma, z_off = _sample_prior_sigma(p, hyper, rng)
     iu = np.triu_indices(p, 1)
     z = np.ones((p, p), dtype=int)
     z[iu] = z_off
@@ -193,7 +181,7 @@ def geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2024, n=30):
     """Run the full comparison on the p=2, k=2, l=0 micro-model."""
     hyper = Hyperparameters(
         nu1=0.1, nu2=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
-        tau_c=10.0, xi_a=0.2, xi_b=0.2, instrument_mode="selection",
+        tau_c=10.0, xi_a=0.2, instrument_mode="selection",
     )
     replicates = total_sweeps // chain_length
     mc = run_marginal_conditional(2, 2, n, hyper, replicates, seed)
@@ -209,7 +197,7 @@ def geweke_fixed_map_test(total_sweeps=30_000, chain_length=10, seed=2025, n=30)
     """Run the full comparison on the fixed-map p=3, k=4, l=1 model."""
     hyper = Hyperparameters(
         nu1=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
-        tau_c=1.0, xi_a=0.2, xi_b=0.2, instrument_mode=FIXED_MAP, b_prior_sd=2.0,
+        tau_c=1.0, xi_a=0.2, instrument_mode=FIXED_MAP, b_prior_sd=2.0,
     )
     p, k = FIXED_MAP_SUPPORT.shape
     replicates = total_sweeps // chain_length

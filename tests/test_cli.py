@@ -175,6 +175,37 @@ class TestFitCommand:
         assert iterations == 120 and isinstance(iterations, int)
         assert read_json(fit_dir / "diagnostics.json")["n_samples"] == 20
 
+    @pytest.mark.parametrize(
+        "key, value, code",
+        [
+            ("n", "500", 3),
+            ("p", 3.0, 0),
+            ("n", 500.5, 3),
+            ("n", True, 3),
+            ("n", float("nan"), 3),
+            ("n", float("inf"), 3),
+            ("s_yy", float("inf"), 3),
+        ],
+        ids=["n-string", "p-integral-float", "n-fractional", "n-bool", "n-nan", "n-infinity", "s_yy-infinity"],
+    )
+    def test_malformed_stats_exits_3(self, tmp_path, capsys, key, value, code):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 3, "--n", 500, "--seed", 2, "--out", sim)
+        doc = read_json(sim / "stats.json")
+        if key == "s_yy":
+            doc["s_yy"][0][0] = value
+        else:
+            doc[key] = value
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(json.dumps(doc))  # NaN and Infinity as json.loads reads them
+        out = tmp_path / "f"
+        assert run_cli("fit", "--stats", stats_path, "--config", small_config(tmp_path), "--out", out,
+                       "--mode", "rgm-plus") == code
+        if code == 3:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "data_error" and err["type"] == "ValueError"
+            assert not out.exists()
+
     def test_missing_stats_file(self, tmp_path, capsys):
         code = run_cli("fit", "--stats", tmp_path / "nope.json", "--out", tmp_path / "f")
         assert code == 3
