@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import os
 import shutil
 import sys
 import warnings
@@ -39,7 +38,7 @@ from .io import (
     write_manifest,
     write_matrix,
 )
-from .mcmc import FIXED_MAP, SELECTION, run_chain
+from .mcmc import FIXED_MAP, SAMPLED, SELECTION, run_chain
 from .metrics import DeviationMetrics, _target_metrics, deviation_metrics, evaluate_fit
 from .model import DimensionMismatchError, RawDataSet, compute_sufficient_stats
 from .simulate import CaseSpec, gen_data, gen_truth
@@ -159,19 +158,10 @@ def cmd_fit(args):
             },
         )
         if sample_format == "npz":
-            np.savez_compressed(
-                ws.path("samples.npz"),
-                a=chain.a,
-                b=chain.b,
-                c=chain.c,
-                sigma_star=chain.sigma_star,
-                gamma=chain.gamma,
-                phi=chain.phi,
-                z=chain.z,
-            )
+            np.savez_compressed(ws.path("samples.npz"), **{name: getattr(chain, name) for name in SAMPLED})
         elif sample_format == "csv":
             m = chain.n_samples
-            for name in ("a", "b", "c", "sigma_star", "gamma", "phi", "z"):
+            for name in SAMPLED:
                 arr = getattr(chain, name)
                 write_matrix(ws.path(f"samples_{name}.csv"), arr.reshape(m, -1), f"samples_{name}")
         inputs = [args.stats] + ([args.config] if args.config else []) + (
@@ -295,9 +285,6 @@ def cmd_benchmark(args):
     config_doc = read_json(args.config) if args.config else {}
     config_from_dict(config_doc)  # validate early
     jobs = max(1, args.jobs)
-    env_cap = os.environ.get("RGM_THREADS")
-    if env_cap:
-        jobs = min(jobs, max(1, int(env_cap)))
 
     thresholds = (args.threshold_a, args.threshold_b, args.threshold_z)
     tasks = [

@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import LOG_2PI, NotPositiveDefiniteError, _chol_lower
+from .model import NotPositiveDefiniteError, _chol_lower
 
 
 @dataclass(frozen=True)
@@ -155,23 +154,6 @@ def sample_matrix_normal(params: MatrixNormalParams, rng: np.random.Generator) -
         raise NotPositiveDefiniteError("matrix-normal column covariance is not positive definite")
     z = rng.standard_normal(params.mean.shape)
     return params.mean + l_row @ z @ l_col.T
-
-
-def matrix_normal_logpdf(x, params: MatrixNormalParams) -> float:
-    """Log-density of a matrix-normal draw; used only by tests."""
-    x = np.asarray(x, dtype=float)
-    p, l = params.mean.shape
-    l_row = _chol_lower(params.row_cov)
-    l_col = _chol_lower(params.col_cov)
-    if l_row is None or l_col is None:
-        raise NotPositiveDefiniteError("matrix-normal covariance is not positive definite")
-    diff = x - params.mean
-    w = scipy.linalg.solve_triangular(l_row, diff, lower=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(l_col, w.T, lower=True, check_finite=False)
-    quad = float(np.sum(w * w))
-    ld_row = 2.0 * float(np.log(np.diag(l_row)).sum())
-    ld_col = 2.0 * float(np.log(np.diag(l_col)).sum())
-    return -0.5 * (p * l * LOG_2PI + l * ld_row + p * ld_col + quad)
 
 
 def sample_inverse_gamma(shape, scale, rng: np.random.Generator):

@@ -34,6 +34,7 @@ from .model import (
     _chol_inverse,
     _chol_lower,
     log_likelihood_summary,
+    residual_moments,
     residual_scatter,
 )
 
@@ -47,6 +48,15 @@ GIG_QUAD_FLOOR = 1e-12
 
 # Robbins-Monro target acceptance rate for the random-walk proposals on A.
 ADAPT_TARGET = 0.35
+
+# Sweeps between checks of the cached log-likelihood against a fresh one.
+LOG_LIK_CHECK_EVERY = 1000
+
+# The arrays a chain stores per kept draw, in output order; the indicator
+# arrays come from LatentState and are stored as int8, the rest from
+# ModelParameters.
+SAMPLED = ("a", "b", "c", "sigma_star", "gamma", "phi", "z")
+INDICATORS = ("gamma", "phi", "z")
 
 
 class NumericalError(ArithmeticError):
@@ -259,7 +269,7 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     one row at a time.  Given the rest, a block E = (rows r, cols c) is
     Gaussian with precision L + diag(1 / prior variance), where
     L = n Omega[r, r'] S_xx[c, c'] and Omega = Sigma*^-1, and linear term
-    n (Omega (M - B S_xx))[E] + L b_E with M = (I - A) S_yx - C S_xu'.
+    n (Omega R_x)[E] + L b_E, with R_x from model.residual_moments.
     The cached log-likelihood advances by the exact quadratic increment.
     Returns (drawn, drawn): every draw is accepted.
     """
@@ -276,10 +286,8 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         blocks = [((rows, cols), lik_prec)] if rows.size else []
         prior_var = np.full(params.b.shape, hyper.b_prior_sd**2)
     b_mat = params.b
-    resid = (np.eye(params.p) - params.a) @ stats.s_yx - b_mat @ stats.s_xx
-    if stats.dims.l:
-        resid -= params.c @ stats.s_xu.T
-    grad = n * prec @ resid
+    r_x, _ = residual_moments(params, stats, slice(params.p, params.p + stats.dims.k))
+    grad = n * prec @ r_x
     drawn = 0
     for index, lik_prec in blocks:
         old, g = b_mat[index], grad[index]
@@ -326,18 +334,17 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     The log-determinant change comes from the matrix determinant lemma and
     (I - A)^{-1} is maintained by Sherman-Morrison updates; proposals that
     would make (I - A) singular are rejected through the -inf sentinel.
+    The quadratic gradient Omega R_y (model.residual_moments) takes rank-one updates.
     """
     params, latent = state.params, state.latent
     p = params.p
     n = stats.dims.n
     a_mat = params.a
     prec = _precision(params.sigma_star)
-    f = np.eye(p) - a_mat
-    lu, piv, _ = dgetrf(f)
+    lu, piv, _ = dgetrf(np.eye(p) - a_mat)
     f_inv, _ = dgetrs(lu, piv, np.eye(p))
-    h1 = prec @ f @ stats.s_yy
-    h2 = prec @ params.b @ stats.s_yx.T
-    h3 = prec @ params.c @ stats.s_yu.T if stats.dims.l else np.zeros((p, p))
+    r_y, _ = residual_moments(params, stats, slice(0, p))
+    grad = prec @ r_y
     prec_diag = np.diag(prec).copy()
     syy_diag = np.diag(stats.s_yy).copy()
     sd = math.sqrt(hyper.xi_a if xi is None else xi)
@@ -353,17 +360,14 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         denom = 1.0 - delta * f_inv[h, j]
         if abs(denom) < 1e-12:
             continue
-        d_quad = (
-            2.0 * delta * (h2[j, h] + h3[j, h] - h1[j, h])
-            + delta * delta * prec_diag[j] * syy_diag[h]
-        )
+        d_quad = delta * delta * prec_diag[j] * syy_diag[h] - 2.0 * delta * grad[j, h]
         d_ll = n * math.log(abs(denom)) - 0.5 * n * d_quad
         prior_var = latent.tau[j, h] if latent.gamma[j, h] == 1 else hyper.nu1 * latent.tau[j, h]
         log_alpha = d_ll - (new * new - cur * cur) / (2.0 * prior_var)
         if log_alpha >= 0.0 or uniforms[i] < math.exp(log_alpha):
             a_mat[j, h] = new
             log_lik += d_ll
-            h1 -= delta * np.outer(prec[:, j], stats.s_yy[h, :])
+            grad -= delta * np.outer(prec[:, j], stats.s_yy[h, :])
             f_inv += (delta / denom) * np.outer(f_inv[:, j], f_inv[h, :])
             accepted += 1
     state.log_lik = log_lik
@@ -381,8 +385,8 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     if chol is None:
         raise NumericalError("covariate-effect column precision is not positive definite")
     col_cov = _chol_inverse(chol)
-    f = np.eye(params.p) - params.a
-    mean = (n * f @ stats.s_yu - n * params.b @ stats.s_xu) @ col_cov
+    r_u, _ = residual_moments(params, stats, slice(params.p + stats.dims.k, None))
+    mean = n * (r_u + params.c @ stats.s_uu) @ col_cov
     params.c = sample_matrix_normal(MatrixNormalParams(mean, params.sigma_star, col_cov), rng)
     state.log_lik = log_likelihood_summary(params, stats)
 
@@ -509,8 +513,23 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
     return ChainState(params=params, latent=latent, log_lik=log_lik)
 
 
-def mcmc_sweep(state, stats, hyper, rng, xi_a=None):
-    """One full pass over the eleven updates; returns (accepted, proposed) for A, then B."""
+def _check_log_lik(state: ChainState, stats: SummaryStatistics):
+    """Replace the cached log-likelihood by a fresh one; raise NumericalError past 1e-8 relative."""
+    fresh = log_likelihood_summary(state.params, stats)
+    if abs(fresh - state.log_lik) > 1e-8 * max(1.0, abs(fresh)):
+        raise NumericalError(
+            f"cached log-likelihood diverged at iteration {state.iteration}: "
+            f"cached {state.log_lik!r}, fresh {fresh!r}"
+        )
+    state.log_lik = fresh
+
+
+def mcmc_sweep(state, stats, hyper, rng, xi_a=None, check_cache=False):
+    """One full pass over the eleven updates; returns (accepted, proposed) for A, then B.
+
+    check_cache checks the cached log-likelihood after step 8, the last
+    step that advances it by an increment; steps 9 and 11 recompute it.
+    """
     selection = hyper.instrument_mode == SELECTION
     if selection:
         update_psi(state, hyper, rng)
@@ -521,6 +540,8 @@ def mcmc_sweep(state, stats, hyper, rng, xi_a=None):
     update_tau(state, hyper, rng)
     update_gamma(state, hyper, rng)
     acc_a, tot_a = update_a(state, stats, hyper, rng, xi=xi_a)
+    if check_cache:
+        _check_log_lik(state, stats)
     update_c(state, stats, hyper, rng)
     update_z(state, hyper, rng)
     update_sigma_star(state, stats, hyper, rng)
@@ -530,26 +551,25 @@ def mcmc_sweep(state, stats, hyper, rng, xi_a=None):
 def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     """Run the full kernel and collect thinned post-burn-in samples.
 
-    Fully deterministic given config.seed.  The cached log-likelihood is
-    recomputed from scratch every 1000 iterations and must agree with the
-    incrementally maintained value to 1e-8 relative.
+    Fully deterministic given config.seed.  Every LOG_LIK_CHECK_EVERY
+    sweeps the log-likelihood that steps 4 and 8 advance by increments is
+    recomputed from scratch after step 8 and must agree with the cached
+    value to 1e-8 relative, or NumericalError is raised.  Samples of the
+    SAMPLED arrays are kept every config.thin sweeps after burn-in.
     """
     config.validate()
     hyper = config.hyper
     stats.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = initial_state(stats, hyper, config.fixed_b_support)
-    p, k, l = stats.dims.p, stats.dims.k, stats.dims.l
+
+    def sampled(name):
+        return getattr(state.latent if name in INDICATORS else state.params, name)
 
     n_keep = -(-(config.iterations - config.burn_in) // config.thin)
     kept = {
-        "a": np.empty((n_keep, p, p)),
-        "b": np.empty((n_keep, p, k)),
-        "c": np.empty((n_keep, p, l)),
-        "sigma_star": np.empty((n_keep, p, p)),
-        "gamma": np.empty((n_keep, p, p), dtype=np.int8),
-        "phi": np.empty((n_keep, p, k), dtype=np.int8),
-        "z": np.empty((n_keep, p, p), dtype=np.int8),
+        name: np.empty((n_keep, *sampled(name).shape), dtype=np.int8 if name in INDICATORS else float)
+        for name in SAMPLED
     }
     loglik = np.empty(config.iterations)
     min_eig = np.empty(config.iterations)
@@ -559,8 +579,10 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     stored = 0
 
     for it in range(1, config.iterations + 1):
-        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng, xi_a=xi_a)
         state.iteration = it
+        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(
+            state, stats, hyper, rng, xi_a=xi_a, check_cache=it % LOG_LIK_CHECK_EVERY == 0
+        )
 
         in_burn_in = it <= config.burn_in
         if config.adapt_proposals and in_burn_in and tot_a:
@@ -575,32 +597,13 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         loglik[it - 1] = state.log_lik
         min_eig[it - 1] = float(np.linalg.eigvalsh(state.params.sigma_star).min())
 
-        if it % 1000 == 0:
-            fresh = log_likelihood_summary(state.params, stats)
-            if abs(fresh - state.log_lik) > 1e-8 * max(1.0, abs(fresh)):
-                raise NumericalError(
-                    f"cached log-likelihood diverged at iteration {it}: cached {state.log_lik!r}, fresh {fresh!r}"
-                )
-            state.log_lik = fresh
-
         if not in_burn_in and (it - config.burn_in - 1) % config.thin == 0:
-            kept["a"][stored] = state.params.a
-            kept["b"][stored] = state.params.b
-            kept["c"][stored] = state.params.c
-            kept["sigma_star"][stored] = state.params.sigma_star
-            kept["gamma"][stored] = state.latent.gamma
-            kept["phi"][stored] = state.latent.phi
-            kept["z"][stored] = state.latent.z
+            for name in SAMPLED:
+                kept[name][stored] = sampled(name)
             stored += 1
 
     return Chain(
-        a=kept["a"][:stored],
-        b=kept["b"][:stored],
-        c=kept["c"][:stored],
-        sigma_star=kept["sigma_star"][:stored],
-        gamma=kept["gamma"][:stored],
-        phi=kept["phi"][:stored],
-        z=kept["z"][:stored],
+        **{name: kept[name][:stored] for name in SAMPLED},
         loglik=loglik,
         sigma_min_eig=min_eig,
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),

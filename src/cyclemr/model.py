@@ -4,12 +4,14 @@ The model is Y = A Y + B X + C U + E*, with E* ~ N(0, Sigma*), so that
 (I - A) Y = B X + C U + E*.  Both the raw-data and the summary-statistics
 form of the conditional log-likelihood are provided; they agree exactly
 whenever the summary statistics were computed from the raw data.
+The summary form reads the data only through R = Theta J (residual_moments),
+with Theta = [I - A, -B, -C] and J the joint second-moment matrix of (y, x, u).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -56,9 +58,9 @@ def _check_shape(name, arr, shape):
         raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SummaryStatistics:
-    """The six empirical second-moment blocks plus the sample size.
+    """The six empirical second-moment blocks, the sample size and the read-only joint matrix.
 
     Blocks are 1/n-scaled raw (uncentered) cross moments; data are assumed
     to be centered by the caller, since the model carries no intercept.
@@ -71,17 +73,22 @@ class SummaryStatistics:
     s_xu: np.ndarray
     s_uu: np.ndarray
     dims: Dimensions
+    joint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, k, l = self.dims.p, self.dims.k, self.dims.l
         for name in ("s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         _check_shape("s_yy", self.s_yy, (p, p))
         _check_shape("s_yx", self.s_yx, (p, k))
         _check_shape("s_yu", self.s_yu, (p, l))
         _check_shape("s_xx", self.s_xx, (k, k))
         _check_shape("s_xu", self.s_xu, (k, l))
         _check_shape("s_uu", self.s_uu, (l, l))
+        joint = np.block([[self.s_yy, self.s_yx, self.s_yu], [self.s_yx.T, self.s_xx, self.s_xu],
+                          [self.s_yu.T, self.s_xu.T, self.s_uu]])
+        joint.setflags(write=False)
+        object.__setattr__(self, "joint", joint)
 
     def validate(self, tol=1e-8):
         """Check that every entry is finite, the square blocks symmetric and the joint matrix PSD."""
@@ -92,22 +99,14 @@ class SummaryStatistics:
             block = getattr(self, name)
             if block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):
                 raise DimensionMismatchError(f"{name} is not symmetric")
-        joint = self.joint_matrix()
-        if joint.size:
-            min_eig = float(np.linalg.eigvalsh(joint).min())
-            scale = max(1.0, float(np.abs(np.diag(joint)).max(initial=0.0)))
+        if self.joint.size:
+            min_eig = float(np.linalg.eigvalsh(self.joint).min())
+            scale = max(1.0, float(np.abs(np.diag(self.joint)).max(initial=0.0)))
             if min_eig < -tol * scale:
                 raise NotPositiveDefiniteError(
                     f"joint second-moment matrix has eigenvalue {min_eig:.3e} < 0"
                 )
         return self
-
-    def joint_matrix(self):
-        """Assemble the (p+k+l) x (p+k+l) joint second-moment matrix."""
-        top = np.hstack([self.s_yy, self.s_yx, self.s_yu])
-        mid = np.hstack([self.s_yx.T, self.s_xx, self.s_xu])
-        bot = np.hstack([self.s_yu.T, self.s_xu.T, self.s_uu])
-        return np.vstack([top, mid, bot])
 
 
 @dataclass
@@ -253,31 +252,26 @@ def log_likelihood_raw(params: ModelParameters, data: RawDataSet) -> float:
     return -0.5 * n * p * LOG_2PI - 0.5 * n * ld_sigma + n * ld_f - 0.5 * quad
 
 
-def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision=None):
-    """The per-sample quadratic Q of the summary-form likelihood.
+def residual_moments(params: ModelParameters, stats: SummaryStatistics, cols=slice(None)):
+    """(R, Theta): R = Theta J[:, cols] holds the moments of the residual e = Theta (y, x, u).
 
-    Q = tr(S_yy F' P F) - 2 tr(S_yx B' P F) - 2 tr(S_yu C' P F)
-        + tr(S_xx B' P B) + tr(S_uu C' P C) + 2 tr(S_xu C' P B)
-    with F = I - A and P = Sigma*^{-1}.
+    Columns [0, p) of J are y, [p, p+k) x and [p+k, p+k+l) u; R Theta' is E[e e'].
     """
-    p = params.p
+    # -[A, B, C] with one added along the diagonal of its leading p x p block: one allocation, no np.eye.
+    theta = -np.concatenate((params.a, params.b, params.c), axis=1)
+    theta.ravel()[:: theta.shape[1] + 1] += 1.0
+    return theta @ stats.joint[:, cols], theta
+
+
+def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision=None):
+    """The per-sample quadratic Q = tr(P R Theta'), P = Sigma*^{-1}, of the summary-form likelihood."""
     if precision is None:
         chol = _chol_lower(params.sigma_star)
         if chol is None:
             raise NotPositiveDefiniteError("Sigma* is not positive definite")
         precision = _chol_inverse(chol)
-    f = np.eye(p) - params.a
-    pf = precision @ f
-    pb = precision @ params.b
-    pc = precision @ params.c
-    q = float(np.sum(stats.s_yy * (f.T @ pf)))
-    q -= 2.0 * float(np.sum(params.b * (pf @ stats.s_yx)))
-    q += float(np.sum(pb * (params.b @ stats.s_xx)))
-    if stats.dims.l:
-        q -= 2.0 * float(np.sum(params.c * (pf @ stats.s_yu)))
-        q += float(np.sum(pc * (params.c @ stats.s_uu)))
-        q += 2.0 * float(np.sum(params.c * (pb @ stats.s_xu)))
-    return q
+    r, theta = residual_moments(params, stats)
+    return float(np.sum(precision * (r @ theta.T)))
 
 
 def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) -> float:
@@ -303,24 +297,13 @@ def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) ->
 def residual_scatter(params: ModelParameters, stats: SummaryStatistics, tau_c: float) -> np.ndarray:
     """Residual scatter matrix driving the error-covariance update.
 
-    S = n * [(I-A) S_yy (I-A)' - (I-A) S_yx B' - B S_yx' (I-A)' + B S_xx B'
-             + C S_uu C' - (I-A) S_yu C' - C S_yu' (I-A)' + B S_xu C' + C S_xu' B']
-        + C C' / tau_c
-
+    S = n R Theta' + C C' / tau_c, with R and Theta from residual_moments,
     and satisfies tr(Sigma*^{-1} S) = n * Q + tr(Sigma*^{-1} C C') / tau_c.
     """
     if tau_c <= 0:
         raise ValueError(f"tau_c must be positive, got {tau_c}")
-    p, n = stats.dims.p, stats.dims.n
-    f = np.eye(p) - params.a
-    b, c = params.b, params.c
-    fsyx_bt = f @ stats.s_yx @ b.T
-    scatter = f @ stats.s_yy @ f.T - fsyx_bt - fsyx_bt.T + b @ stats.s_xx @ b.T
-    if stats.dims.l:
-        fsyu_ct = f @ stats.s_yu @ c.T
-        bsxu_ct = b @ stats.s_xu @ c.T
-        scatter += c @ stats.s_uu @ c.T - fsyu_ct - fsyu_ct.T + bsxu_ct + bsxu_ct.T
-    scatter = n * scatter + c @ c.T / tau_c
+    r, theta = residual_moments(params, stats)
+    scatter = stats.dims.n * (r @ theta.T) + params.c @ params.c.T / tau_c
     return 0.5 * (scatter + scatter.T)
 
 

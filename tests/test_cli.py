@@ -302,16 +302,6 @@ class TestBenchmarkCommand:
         seeds = (out / "seeds.csv").read_text().strip().splitlines()
         assert len(seeds) == 3
 
-    def test_rgm_threads_caps_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RGM_THREADS", "1")
-        cfg = small_config(tmp_path)
-        out = tmp_path / "bench"
-        code = run_cli(
-            "benchmark", "--case", "I", "--p", 2, "--n", 60, "--replicates", 1,
-            "--jobs", 8, "--seed", 3, "--out", out, "--config", cfg, "--methods", "rgm-plus",
-        )
-        assert code == 0
-
     def test_unknown_method_rejected(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = run_cli(

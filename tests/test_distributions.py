@@ -2,19 +2,37 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from scipy.special import kv
 
 from cyclemr.distributions import (
     GigParams,
     MatrixNormalParams,
-    matrix_normal_logpdf,
     sample_beta,
     sample_bernoulli,
     sample_gig,
     sample_inverse_gamma,
     sample_matrix_normal,
 )
+from cyclemr.model import LOG_2PI, NotPositiveDefiniteError, _chol_lower
+
+
+def matrix_normal_logpdf(x, params: MatrixNormalParams) -> float:
+    """Log-density of a matrix-normal draw."""
+    x = np.asarray(x, dtype=float)
+    p, l = params.mean.shape
+    l_row = _chol_lower(params.row_cov)
+    l_col = _chol_lower(params.col_cov)
+    if l_row is None or l_col is None:
+        raise NotPositiveDefiniteError("matrix-normal covariance is not positive definite")
+    diff = x - params.mean
+    w = scipy.linalg.solve_triangular(l_row, diff, lower=True, check_finite=False)
+    w = scipy.linalg.solve_triangular(l_col, w.T, lower=True, check_finite=False)
+    quad = float(np.sum(w * w))
+    ld_row = 2.0 * float(np.log(np.diag(l_row)).sum())
+    ld_col = 2.0 * float(np.log(np.diag(l_col)).sum())
+    return -0.5 * (p * l * LOG_2PI + l * ld_row + p * ld_col + quad)
 
 
 def gig_moment(p_order, a, b, moment=1):

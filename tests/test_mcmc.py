@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 from scipy.special import kv
 
+from cyclemr import mcmc
 from cyclemr.distributions import GigParams, sample_gig, sample_inverse_gamma
 from cyclemr.mcmc import (
     FIXED_MAP,
@@ -411,9 +412,26 @@ class TestRunChain:
         config = McmcConfig(
             iterations=1_000, burn_in=500, thin=1, seed=5, hyper=selection_hyper()
         )
-        chain = run_chain(stats, config)  # internal 1e-8 check runs at iteration 1000
+        chain = run_chain(stats, config)  # internal 1e-8 check runs after step 8 of iteration 1000
         assert np.all(np.isfinite(chain.loglik))
         assert np.all(chain.sigma_min_eig > 0)
+
+    def test_cache_check_catches_a_wrong_increment(self, monkeypatch):
+        # Steps 4 and 8 advance the cached log-likelihood by increments and
+        # step 11 replaces it, so the periodic check must run before step 11.
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        exact_update_b = mcmc.update_b
+
+        def drifting_update_b(state, *args):
+            result = exact_update_b(state, *args)
+            state.log_lik += 1.0
+            return result
+
+        monkeypatch.setattr(mcmc, "update_b", drifting_update_b)
+        config = McmcConfig(iterations=1_000, burn_in=500, thin=1, seed=5, hyper=selection_hyper())
+        with pytest.raises(NumericalError, match="iteration 1000"):
+            run_chain(stats, config)
 
     def test_invalid_config_rejected(self):
         rng = np.random.default_rng(21)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from cyclemr.model import (
     log_likelihood_summary,
     quadratic_form,
     reduced_form,
+    residual_moments,
     residual_scatter,
 )
 
@@ -203,6 +205,48 @@ class TestResidualScatter:
         scatter = residual_scatter(params, compute_sufficient_stats(data), 10.0)
         np.testing.assert_allclose(scatter, scatter.T, atol=1e-10)
         assert np.linalg.eigvalsh(scatter).min() > -1e-8
+
+
+class TestResidualMoments:
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_matches_raw_residual_moments(self, l):
+        rng = np.random.default_rng(40 + l)
+        p, k, n = 3, 4, 50
+        params, data = random_instance(rng, p=p, k=k, l=l, n=n)
+        stats = compute_sufficient_stats(data)
+        resid = data.y @ (np.eye(p) - params.a).T - data.x @ params.b.T - data.u @ params.c.T
+        r, theta = residual_moments(params, stats)
+        np.testing.assert_allclose(r, resid.T @ np.hstack([data.y, data.x, data.u]) / n, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r @ theta.T, resid.T @ resid / n, rtol=0, atol=1e-12)
+        for cols in (slice(0, p), slice(p, p + k), slice(p + k, None)):
+            np.testing.assert_allclose(residual_moments(params, stats, cols)[0], r[:, cols], rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        # The B and A steps read the likelihood gradient from R:
+        # d/dB = n Omega R_x, d/dA = n Omega R_y - n (I - A)^-T.
+        rng = np.random.default_rng(43)
+        p, k, n = 3, 4, 30
+        params, data = random_instance(rng, p=p, k=k, l=2, n=n)
+        stats = compute_sufficient_stats(data)
+        prec = np.linalg.inv(params.sigma_star)
+        r_y, _ = residual_moments(params, stats, slice(0, p))
+        r_x, _ = residual_moments(params, stats, slice(p, p + k))
+        grads = {
+            "b": n * prec @ r_x,
+            "a": n * prec @ r_y - n * np.linalg.inv(np.eye(p) - params.a).T,
+        }
+        eps = 1e-6
+        for name, grad in grads.items():
+            for idx in np.ndindex(grad.shape):
+                if name == "a" and idx[0] == idx[1]:
+                    continue
+                step = np.zeros(grad.shape)
+                step[idx] = eps
+                value = getattr(params, name)
+                plus = dataclasses.replace(params, **{name: value + step})
+                minus = dataclasses.replace(params, **{name: value - step})
+                fd = (log_likelihood_summary(plus, stats) - log_likelihood_summary(minus, stats)) / (2 * eps)
+                assert fd == pytest.approx(grad[idx], rel=1e-6, abs=1e-5), (name, idx)
 
 
 class TestReducedForm:

@@ -61,7 +61,9 @@ def test_traced_fit_reads_what_the_benchmark_needs(inputs, mode, stats_name):
         assert isinstance(accepted, int) and isinstance(proposed, int), step
         assert 0 <= accepted <= proposed and proposed > 0, step
     assert tracer.totals["mcmc.sweep"][0] == ITERATIONS
-    assert tracer.in_sweep["model.cholesky"][0] > 0
+    # An inlined helper would read zero in the benchmark's per-layer figures without failing it.
+    for span in ("model.cholesky", "model.loglik", "model.residual_scatter"):
+        assert tracer.in_sweep[span][0] > 0, span
     expected = set(tracing.UPDATE_STEPS) - (set() if mode == "rgm-plus" else SELECTION_STEPS)
     called = {name.split(".", 1)[1] for name in tracer.in_sweep if name.startswith("mcmc.update_")}
     assert called == expected
