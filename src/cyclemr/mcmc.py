@@ -8,6 +8,12 @@ draw for C, Bernoulli updates for the confounding indicators, and a
 column-wise blocked Gibbs draw for the error covariance that preserves
 positive definiteness by construction.
 
+Only the last step changes Sigma*, so the chain state carries
+Omega = Sigma*^{-1} and log|Sigma*| from one sweep to the next.  Steps 4,
+8 and 9 and the likelihood read them; step 11 keeps Omega current column
+by column with rank-one updates and then refreshes both from one fresh
+Cholesky factor of Sigma*, so rounding drift never outlives a sweep.
+
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
 selection over all instrument-trait pairs.
@@ -23,6 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
 from scipy.special import expit
 
@@ -32,6 +39,7 @@ from .model import (
     ModelParameters,
     SummaryStatistics,
     _chol_inverse,
+    _chol_logdet,
     _chol_lower,
     log_likelihood_summary,
     residual_moments,
@@ -135,12 +143,31 @@ class LatentState:
 
 @dataclass
 class ChainState:
-    """One point of the chain with its cached summary log-likelihood."""
+    """One point of the chain with its cached summary log-likelihood.
+
+    omega = Sigma*^{-1} and logdet_sigma = log|Sigma*| are carried with
+    the state and derived from params.sigma_star on construction.  Code
+    that assigns params.sigma_star by hand must call refresh_precision
+    afterwards, or steps 4, 8, 9 and 11 read a stale Omega.
+    """
 
     params: ModelParameters
     latent: LatentState
     log_lik: float
     iteration: int = 0
+    omega: np.ndarray = field(init=False, repr=False)
+    logdet_sigma: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.refresh_precision()
+
+    def refresh_precision(self):
+        """Recompute omega and logdet_sigma from one Cholesky factor of params.sigma_star."""
+        chol = _chol_lower(self.params.sigma_star)
+        if chol is None:
+            raise NumericalError("Sigma* is not positive definite")
+        self.omega = _chol_inverse(chol)
+        self.logdet_sigma = _chol_logdet(chol)
 
 
 @dataclass
@@ -191,37 +218,54 @@ class Chain:
         return self.a.shape[0]
 
 
-def _precision(sigma_star):
-    chol = _chol_lower(sigma_star)
-    if chol is None:
-        raise NumericalError("Sigma* lost positive definiteness")
-    return _chol_inverse(chol)
+def _log_lik(state: ChainState, stats: SummaryStatistics):
+    """Summary log-likelihood of the state, from its carried Omega and log|Sigma*|."""
+    return log_likelihood_summary(
+        state.params, stats, precision=state.omega, logdet_sigma=state.logdet_sigma
+    )
 
 
-def _draw_gaussian(prec, linear, rng, what):
-    """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec."""
+def _draw_gaussian(prec, linear, normals, what):
+    """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec and standard normals."""
     chol = _chol_lower(prec)
     if chol is None:
         raise NumericalError(f"{what} precision is not positive definite")
     mean, _ = dpotrs(chol, linear, lower=1)
-    noise, _ = dtrtrs(chol, rng.standard_normal(linear.shape[0]), lower=1, trans=1)
+    noise, _ = dtrtrs(chol, normals, lower=1, trans=1)
     return mean + noise
 
 
-def _offdiag_pairs(p):
-    return [(j, h) for j in range(p) for h in range(p) if j != h]
+def _add_outer(mat, alpha, x, y):
+    """mat += alpha x y' in place, through BLAS dger.
+
+    dger writes in place only into a Fortran-ordered array and quietly
+    updates a copy of any other, so a C-ordered mat is updated through its
+    transpose.  x and y must not share memory with mat.
+    """
+    if mat.flags.f_contiguous:
+        dger(alpha, x, y, a=mat, overwrite_a=1)
+    else:
+        dger(alpha, y, x, a=mat.T, overwrite_a=1)
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 @functools.lru_cache(maxsize=None)
-def _column_partitions(p):
-    """Per-column (rest indices, open mesh) pairs for the blocked Gibbs sweep."""
-    idx = np.arange(p)
-    out = []
-    for j in range(p):
-        rest = idx[idx != j]
-        rest.setflags(write=False)
-        out.append((rest, np.ix_(rest, rest)))
-    return out
+def _offdiag_mask(p):
+    return _read_only(~np.eye(p, dtype=bool))
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(p):
+    return tuple(_read_only(index) for index in np.triu_indices(p, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _offdiag_pairs(p):
+    return tuple((j, h) for j in range(p) for h in range(p) if j != h)
 
 
 def update_psi(state: ChainState, hyper: Hyperparameters, rng):
@@ -275,7 +319,7 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     """
     params, latent = state.params, state.latent
     n = stats.dims.n
-    prec = _precision(params.sigma_star)
+    prec = state.omega
     if hyper.instrument_mode == SELECTION:
         p, k = latent.phi.shape
         blocks = [((j, slice(None)), n * prec[j, j] * stats.s_xx) for j in range(p) if k]
@@ -291,7 +335,8 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     drawn = 0
     for index, lik_prec in blocks:
         old, g = b_mat[index], grad[index]
-        new = _draw_gaussian(lik_prec + np.diag(1.0 / prior_var[index]), g + lik_prec @ old, rng, "B block")
+        normals = rng.standard_normal(old.size)
+        new = _draw_gaussian(lik_prec + np.diag(1.0 / prior_var[index]), g + lik_prec @ old, normals, "B block")
         delta = new - old
         b_mat[index] = new
         state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
@@ -304,14 +349,14 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
 def update_rho(state: ChainState, hyper: Hyperparameters, rng):
     """Step 5: conjugate Beta refresh of the edge-slab weights."""
     latent = state.latent
-    off = ~np.eye(latent.rho.shape[0], dtype=bool)
+    off = _offdiag_mask(latent.rho.shape[0])
     latent.rho[off] = sample_beta(latent.gamma[off] + hyper.a_rho, 1 - latent.gamma[off] + hyper.b_rho, rng)
 
 
 def update_tau(state: ChainState, hyper: Hyperparameters, rng):
     """Step 6: half-Cauchy hierarchy for the A slab scales."""
     latent = state.latent
-    off = ~np.eye(latent.tau.shape[0], dtype=bool)
+    off = _offdiag_mask(latent.tau.shape[0])
     a_off = state.params.a[off]
     eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / latent.tau[off], rng)
     rate = np.where(latent.gamma[off] == 1, a_off * a_off / 2.0, a_off * a_off / (2.0 * hyper.nu1))
@@ -321,7 +366,7 @@ def update_tau(state: ChainState, hyper: Hyperparameters, rng):
 def update_gamma(state: ChainState, hyper: Hyperparameters, rng):
     """Step 7: Bernoulli refresh of the causal-edge indicators."""
     latent = state.latent
-    off = ~np.eye(latent.gamma.shape[0], dtype=bool)
+    off = _offdiag_mask(latent.gamma.shape[0])
     p_gamma = _inclusion_probability(
         state.params.a[off], latent.tau[off], hyper.nu1, latent.rho[off]
     )
@@ -340,7 +385,7 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     p = params.p
     n = stats.dims.n
     a_mat = params.a
-    prec = _precision(params.sigma_star)
+    prec = state.omega
     lu, piv, _ = dgetrf(np.eye(p) - a_mat)
     f_inv, _ = dgetrs(lu, piv, np.eye(p))
     r_y, _ = residual_moments(params, stats, slice(0, p))
@@ -367,8 +412,8 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         if log_alpha >= 0.0 or uniforms[i] < math.exp(log_alpha):
             a_mat[j, h] = new
             log_lik += d_ll
-            grad -= delta * np.outer(prec[:, j], stats.s_yy[h, :])
-            f_inv += (delta / denom) * np.outer(f_inv[:, j], f_inv[h, :])
+            _add_outer(grad, -delta, prec[:, j], stats.s_yy[h])
+            _add_outer(f_inv, delta / denom, f_inv[:, j].copy(), f_inv[h].copy())
             accepted += 1
     state.log_lik = log_lik
     return accepted, len(pairs)
@@ -388,7 +433,7 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     r_u, _ = residual_moments(params, stats, slice(params.p + stats.dims.k, None))
     mean = n * (r_u + params.c @ stats.s_uu) @ col_cov
     params.c = sample_matrix_normal(MatrixNormalParams(mean, params.sigma_star, col_cov), rng)
-    state.log_lik = log_likelihood_summary(params, stats)
+    state.log_lik = _log_lik(state, stats)
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):
@@ -406,7 +451,7 @@ def update_z(state: ChainState, hyper: Hyperparameters, rng):
     latent = state.latent
     sigma = state.params.sigma_star
     p = sigma.shape[0]
-    iu = np.triu_indices(p, 1)
+    iu = _upper_pairs(p)
     draws = sample_bernoulli(confounding_probability(sigma[iu], hyper), rng)
     latent.z[iu] = draws
     latent.z.T[iu] = draws
@@ -415,10 +460,23 @@ def update_z(state: ChainState, hyper: Hyperparameters, rng):
 def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
     """Step 11: column-wise blocked Gibbs draw of the error covariance.
 
-    Each column is repartitioned into (u, v); u gets a Gaussian draw whose
-    precision mixes the scatter matrix with the spike-and-slab prior
-    variances, and v a GIG draw.  Reassembly through the Schur complement
-    keeps Sigma* positive definite whenever v > 0.
+    Column j is repartitioned into u = Sigma*[rest, j] and the Schur
+    complement v = Sigma*[j, j] - u' Sigma11^-1 u, where Sigma11 holds the
+    other rows and columns.  u gets a Gaussian draw whose precision mixes
+    the scatter matrix with the spike-and-slab prior variances, and v a GIG
+    draw.  Reassembly through the Schur complement keeps Sigma* positive
+    definite whenever v > 0.
+
+    No block is gathered or factored (Wang 2012, "Bayesian graphical lasso
+    models and efficient posterior computation", Bayesian Analysis 7(4)).
+    With w = Omega[:, j] of the carried Omega, Sigma11^-1 = Omega11 - w w'/w_j
+    and the current v = 1/w_j; Sigma11^-1 is held as the p x p matrix
+    K = Omega - w w'/w_j with row and column j zero.  After the draw, with
+    t = Sigma11^-1 u, Omega is rebuilt in place by rank one:
+    Omega11 = K + t t'/v, Omega[rest, j] = -t/v, Omega[j, j] = 1/v.  After
+    the last column one Cholesky factor of Sigma* refreshes Omega and
+    log|Sigma*|, so rounding drift never outlives a sweep, and a Sigma*
+    that is not positive definite raises NumericalError.
     """
     params, latent = state.params, state.latent
     p = params.p
@@ -432,41 +490,48 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     if p == 1:
         quad = max(float(scatter[0, 0]), GIG_QUAD_FLOOR)
         sigma[0, 0] = sample_gig(GigParams(order, lam, quad), rng)
-        state.log_lik = log_likelihood_summary(params, stats)
-        return
+    else:
+        prior_prec = 1.0 / np.where(latent.z == 1, hyper.omega1**2, hyper.omega2**2)
+        # With K's row and column j zero, this makes coordinate j of column j's
+        # precision exactly one and uncoupled, and its draw exactly zero.
+        np.fill_diagonal(prior_prec, 1.0)
+        k_mat = state.omega  # K while column j is drawn, Omega again after it
+        normals = np.zeros(p)  # entry j stays zero
+        for j in range(p):
+            w = k_mat[:, j].copy()
+            w_jj = float(w[j])  # 1 / the current v
+            _add_outer(k_mat, -1.0 / w_jj, w, w)
+            k_mat[:, j] = 0.0
+            k_mat[j, :] = 0.0
+            k_s = k_mat @ scatter
+            u_prec = (k_s @ k_mat) * w_jj + lam * k_mat
+            u_prec.flat[:: p + 1] += prior_prec[:, j]
+            drawn = rng.standard_normal(p - 1)
+            normals[:j], normals[j + 1 :] = drawn[:j], drawn[j:]
+            # _draw_gaussian factors the lower triangle only, so u_prec needs no symmetrizing.
+            u = _draw_gaussian(u_prec, k_s[:, j] * w_jj, normals, "error-covariance column")
 
-    for j, (rest, mesh) in enumerate(_column_partitions(p)):
-        sig11 = sigma[mesh]
-        chol11 = _chol_lower(sig11)
-        if chol11 is None:
-            raise NumericalError("Sigma* submatrix lost positive definiteness")
-        inv11 = _chol_inverse(chol11)
-        sig12 = sigma[rest, j]
-        s11 = scatter[mesh]
-        s12 = scatter[rest, j]
-        s22 = float(scatter[j, j])
+            t = k_mat @ u
+            s_t = scatter @ t
+            quad = float(t @ s_t - 2.0 * s_t[j] + scatter[j, j])
+            if quad <= GIG_QUAD_FLOOR:
+                logger.warning("GIG quadratic argument %.3e clamped to floor", quad)
+                quad = GIG_QUAD_FLOOR
+            v_new = sample_gig(GigParams(order, lam, quad), rng)
 
-        v_cur = max(float(sigma[j, j] - sig12 @ inv11 @ sig12), GIG_QUAD_FLOOR)
-        v_prior = np.where(latent.z[rest, j] == 1, hyper.omega1**2, hyper.omega2**2)
-        inv11_s11_inv11 = inv11 @ s11 @ inv11
-        u_prec = inv11_s11_inv11 / v_cur + lam * inv11 + np.diag(1.0 / v_prior)
-        w = inv11 @ s12 / v_cur
-        u = _draw_gaussian(0.5 * (u_prec + u_prec.T), w, rng, "error-covariance column")
+            sigma[:, j] = u
+            sigma[j, :] = u
+            sigma[j, j] = v_new + float(u @ t)
+            _add_outer(k_mat, 1.0 / v_new, t, t)
+            omega_j = t * (-1.0 / v_new)
+            k_mat[:, j] = omega_j
+            k_mat[j, :] = omega_j
+            k_mat[j, j] = 1.0 / v_new
 
-        quad = float(u @ inv11_s11_inv11 @ u - 2.0 * (s12 @ inv11 @ u) + s22)
-        if quad <= GIG_QUAD_FLOOR:
-            logger.warning("GIG quadratic argument %.3e clamped to floor", quad)
-            quad = GIG_QUAD_FLOOR
-        v_new = sample_gig(GigParams(order, lam, quad), rng)
-
-        sigma[rest, j] = u
-        sigma[j, rest] = u
-        sigma[j, j] = v_new + float(u @ inv11 @ u)
-
-    log_lik = log_likelihood_summary(params, stats)
-    if not math.isfinite(log_lik):
-        raise NumericalError("Sigma* is not positive definite after the blocked Gibbs sweep")
-    state.log_lik = log_lik
+    state.refresh_precision()
+    state.log_lik = _log_lik(state, stats)
+    if not math.isfinite(state.log_lik):
+        raise NumericalError("non-finite log-likelihood after the blocked Gibbs sweep")
 
 
 def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_support=None) -> ChainState:
@@ -507,10 +572,11 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
         eta=np.ones((p, k)),
         z=np.ones((p, p), dtype=int),
     )
-    log_lik = log_likelihood_summary(params, stats)
-    if not math.isfinite(log_lik):
+    state = ChainState(params=params, latent=latent, log_lik=math.nan)
+    state.log_lik = _log_lik(state, stats)
+    if not math.isfinite(state.log_lik):
         raise NumericalError("non-finite log-likelihood at initialization")
-    return ChainState(params=params, latent=latent, log_lik=log_lik)
+    return state
 
 
 def _check_log_lik(state: ChainState, stats: SummaryStatistics):

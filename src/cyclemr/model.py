@@ -209,6 +209,11 @@ def _chol_inverse(chol_l):
     return inverse
 
 
+def _chol_logdet(chol_l):
+    """log det of a matrix from its lower Cholesky factor."""
+    return 2.0 * float(np.log(np.diag(chol_l)).sum())
+
+
 def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:
     """All six 1/n-scaled second-moment blocks of (Y, X, U).
 
@@ -248,8 +253,7 @@ def log_likelihood_raw(params: ModelParameters, data: RawDataSet) -> float:
     # Solve L w = resid^T so that the quadratic form is ||w||^2 per sample.
     w = scipy.linalg.solve_triangular(chol, resid.T, lower=True, check_finite=False)
     quad = float(np.sum(w * w))
-    ld_sigma = 2.0 * float(np.log(np.diag(chol)).sum())
-    return -0.5 * n * p * LOG_2PI - 0.5 * n * ld_sigma + n * ld_f - 0.5 * quad
+    return -0.5 * n * p * LOG_2PI - 0.5 * n * _chol_logdet(chol) + n * ld_f - 0.5 * quad
 
 
 def residual_moments(params: ModelParameters, stats: SummaryStatistics, cols=slice(None)):
@@ -274,24 +278,31 @@ def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision=
     return float(np.sum(precision * (r @ theta.T)))
 
 
-def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) -> float:
+def log_likelihood_summary(
+    params: ModelParameters, stats: SummaryStatistics, *, precision=None, logdet_sigma=None
+) -> float:
     """Summary-statistics form of the conditional log-likelihood.
 
     Equals log_likelihood_raw on the data that produced the statistics.
-    Returns -inf on singular (I - A) or non-PD Sigma*.
+    Returns -inf on singular (I - A) or non-PD Sigma*.  A caller that
+    already holds Sigma*^{-1} and log|Sigma*| passes both as precision
+    and logdet_sigma, and Sigma* is then not factored.
     """
     dims = stats.dims
     p, n = dims.p, dims.n
     ld_f = logabsdet_i_minus_a(params.a)
     if ld_f is None:
         return float("-inf")
-    chol = _chol_lower(params.sigma_star)
-    if chol is None:
-        return float("-inf")
-    precision = _chol_inverse(chol)
-    ld_sigma = 2.0 * float(np.log(np.diag(chol)).sum())
+    if (precision is None) != (logdet_sigma is None):
+        raise ValueError("pass precision and logdet_sigma together or not at all")
+    if precision is None:
+        chol = _chol_lower(params.sigma_star)
+        if chol is None:
+            return float("-inf")
+        precision = _chol_inverse(chol)
+        logdet_sigma = _chol_logdet(chol)
     q = quadratic_form(params, stats, precision=precision)
-    return -0.5 * n * p * LOG_2PI - 0.5 * n * ld_sigma + n * ld_f - 0.5 * n * q
+    return -0.5 * n * p * LOG_2PI - 0.5 * n * logdet_sigma + n * ld_f - 0.5 * n * q
 
 
 def residual_scatter(params: ModelParameters, stats: SummaryStatistics, tau_c: float) -> np.ndarray:

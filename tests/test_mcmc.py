@@ -168,6 +168,7 @@ class TestMetropolisSteps:
         state.params.c = rng.standard_normal((3, 2))
         root = rng.standard_normal((3, 3))
         state.params.sigma_star = root @ root.T + 2 * np.eye(3)
+        state.refresh_precision()
         state.log_lik = log_likelihood_summary(state.params, stats)
         for _ in range(5):
             update_b(state, stats, hyper, rng)
@@ -214,6 +215,7 @@ class TestMetropolisSteps:
         state.params.a = np.array([[0.0, 0.3], [-0.2, 0.0]])
         state.params.c = rng.standard_normal((p, 1))
         state.params.sigma_star = np.array([[1.0, 0.8], [0.8, 1.0]])
+        state.refresh_precision()
         state.latent.phi = np.array([[1, 0, 1], [1, 1, 0]])
         state.latent.eta = np.array([[0.5, 2.0, 1.0], [3.0, 0.2, 1.5]])
         omega = np.linalg.inv(state.params.sigma_star)
@@ -279,6 +281,7 @@ class TestGibbsSteps:
         state = initial_state(stats, hyper)
         root = rng.standard_normal((2, 2)) * 0.3
         state.params.sigma_star = root @ root.T + np.eye(2)
+        state.refresh_precision()
         n = stats.dims.n
         col_prec = n * stats.s_uu + np.eye(1) / hyper.tau_c
         col_cov = np.linalg.inv(col_prec)
