@@ -16,9 +16,12 @@ traced run (`--trace 1`) per workload, for the per-layer figures.
 
 The output holds, per workload and metric, each side's median and
 quartiles and the number of pairs the change won (a tie wins neither),
-with the direction read from the change tree's BENCHMARK.json; every raw
-run; and the Python, numpy and scipy versions and nproc.  It is rewritten
-after every run, so an interrupted session keeps what it measured.
+with the direction read from the change tree's BENCHMARK.json; per
+workload, each side's fits per run (the run's `attempted`: median and
+quartiles), which peak_rss_mb tracks because the benchmark keeps every
+fit's samples until the run ends; every raw run; and the Python, numpy
+and scipy versions and nproc.  It is rewritten after every run, so an
+interrupted session keeps what it measured.
 """
 
 from __future__ import annotations
@@ -69,15 +72,24 @@ def run_once(tree, workload, seed, seconds, trace):
     return result
 
 
-def quartiles(values):
+def spread(values):
+    """Median and quartiles of values."""
     if len(values) == 1:
-        return values[0], values[0], values[0]
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def metric_directions(bench):
+    """Metric name -> "lower" or "higher", as BENCHMARK.json declares it."""
+    return {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
 
 
 def summarize(runs, directions):
-    """Per workload and metric: each side's median and quartiles, and the pairs the change won."""
+    """Per workload and metric: each side's median and quartiles, and the pairs the change won.
+
+    Each workload also gets each side's fits per run, which peak_rss_mb tracks.
+    """
     out = {}
     for workload, pairs in runs.items():
         complete = [pair for pair in pairs if "parent" in pair and "change" in pair]
@@ -92,15 +104,17 @@ def summarize(runs, directions):
             won = sum((c < p) if lower_better else (c > p) for p, c in zip(parent, change))
             row = {"unit": complete[0]["parent"]["metrics"][name]["unit"], "better": "lower" if lower_better else "higher"}
             for side, values in (("parent", parent), ("change", change)):
-                q1, median, q3 = quartiles(values)
-                row[side] = {"median": median, "q1": q1, "q3": q3}
+                row[side] = spread(values)
             row["change_won"] = won
             row["pairs"] = len(complete)
             row["parent_quartile_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
             table[name] = row
+        # A run that printed no result has no fit count.
+        fits = {side: [pair[side].get("attempted") for pair in complete] for side in ("parent", "change")}
         out[workload] = {
             "pairs": len(complete),
             "all_correct": all(pair[side].get("correct") for pair in complete for side in ("parent", "change")),
+            "fits_per_run": {side: None if None in counts else spread(counts) for side, counts in fits.items()},
             "metrics": table,
         }
     return out
@@ -129,7 +143,7 @@ def main(argv=None):
             raise SystemExit(f"bench_pairs: no perfbench/run.py under {tree}")
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    directions = {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+    directions = metric_directions(bench)
     doc = {
         "topic": args.topic,
         "written": None,

@@ -3,10 +3,11 @@
 One iteration applies, in order: Beta updates for the instrument-slab
 weights, the half-Cauchy scale hierarchy and inclusion indicators for B,
 an exact blocked Gibbs draw of B, the mirrored four updates for A (whose
-entries move by random-walk Metropolis), an exact matrix-normal Gibbs
-draw for C, Bernoulli updates for the confounding indicators, and a
-column-wise blocked Gibbs draw for the error covariance that preserves
-positive definiteness by construction.
+entries move by random-walk Metropolis, row by row, with (I - A)^{-1}
+and the likelihood gradient updated once per row), an exact
+matrix-normal Gibbs draw for C, Bernoulli updates for the confounding
+indicators, and a column-wise blocked Gibbs draw for the error
+covariance that preserves positive definiteness by construction.
 
 Only the last step changes Sigma*, so the chain state carries
 Omega = Sigma*^{-1} and log|Sigma*| from one sweep to the next.  Steps 4,
@@ -263,11 +264,6 @@ def _upper_pairs(p):
     return tuple(_read_only(index) for index in np.triu_indices(p, 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _offdiag_pairs(p):
-    return tuple((j, h) for j in range(p) for h in range(p) if j != h)
-
-
 def update_psi(state: ChainState, hyper: Hyperparameters, rng):
     """Step 1: conjugate Beta refresh of the instrument-slab weights."""
     latent = state.latent
@@ -320,7 +316,8 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     params, latent = state.params, state.latent
     n = stats.dims.n
     prec = state.omega
-    if hyper.instrument_mode == SELECTION:
+    selection = hyper.instrument_mode == SELECTION
+    if selection:
         p, k = latent.phi.shape
         blocks = [((j, slice(None)), n * prec[j, j] * stats.s_xx) for j in range(p) if k]
         prior_var = np.where(latent.phi == 1, latent.eta, hyper.nu2 * latent.eta)
@@ -340,8 +337,12 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         delta = new - old
         b_mat[index] = new
         state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
-        # n Omega (B S_xx) grows by n Omega[:, r] diag(delta) S_xx[c, :]; a row block's r is one index.
-        grad -= n * (prec[:, index[0]].reshape(params.p, -1) * delta) @ stats.s_xx[index[1], :]
+        # n Omega (B S_xx) grows by n Omega[:, r] diag(delta) S_xx[c, :]: for row block j,
+        # the rank-one n Omega[:, j] (delta' S_xx).
+        if selection:
+            _add_outer(grad, -n, prec[:, index[0]], delta @ stats.s_xx)
+        else:
+            grad -= n * (prec[:, index[0]] * delta) @ stats.s_xx[index[1], :]
         drawn += delta.size
     return drawn, drawn
 
@@ -374,12 +375,17 @@ def update_gamma(state: ChainState, hyper: Hyperparameters, rng):
 
 
 def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng, xi=None):
-    """Step 8: entrywise random-walk Metropolis on the off-diagonal entries of A.
+    """Step 8: entrywise random-walk Metropolis on the off-diagonal entries of A, row by row.
 
-    The log-determinant change comes from the matrix determinant lemma and
-    (I - A)^{-1} is maintained by Sherman-Morrison updates; proposals that
-    would make (I - A) singular are rejected through the -inf sentinel.
-    The quadratic gradient Omega R_y (model.residual_moments) takes rank-one updates.
+    Moving A[j, h] by delta multiplies det(I - A) by 1 - delta F[h, j], with
+    F = (I - A)^{-1}, and shifts row j of the quadratic gradient
+    Omega R_y (model.residual_moments) by -delta Omega[j, j] S_yy[h, :].  The
+    proposals of row j read only column j of F, which each accepted move
+    divides by its determinant ratio, and row j of the gradient, so both
+    are held as Python floats while the row is proposed.  After the row, one
+    Sherman-Morrison update carries its whole change Delta into F, and one
+    rank-one update, -Omega[:, j] (Delta' S_yy), into the gradient.
+    Proposals that would make (I - A) singular are rejected.
     """
     params, latent = state.params, state.latent
     p = params.p
@@ -390,33 +396,49 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     f_inv, _ = dgetrs(lu, piv, np.eye(p))
     r_y, _ = residual_moments(params, stats, slice(0, p))
     grad = prec @ r_y
-    prec_diag = np.diag(prec).copy()
-    syy_diag = np.diag(stats.s_yy).copy()
+    s_yy = stats.s_yy
+    syy_rows = s_yy.tolist()
+    prior_var = np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau).tolist()
     sd = math.sqrt(hyper.xi_a if xi is None else xi)
-    pairs = _offdiag_pairs(p)
-    deltas = (sd * rng.standard_normal(len(pairs))).tolist()
-    uniforms = rng.random(len(pairs)).tolist()
+    proposed = p * (p - 1)
+    deltas = (sd * rng.standard_normal(proposed)).tolist()
+    uniforms = rng.random(proposed).tolist()
     log_lik = state.log_lik
     accepted = 0
-    for i, (j, h) in enumerate(pairs):
-        cur = a_mat[j, h]
-        delta = deltas[i]
-        new = cur + delta
-        denom = 1.0 - delta * f_inv[h, j]
-        if abs(denom) < 1e-12:
-            continue
-        d_quad = delta * delta * prec_diag[j] * syy_diag[h] - 2.0 * delta * grad[j, h]
-        d_ll = n * math.log(abs(denom)) - 0.5 * n * d_quad
-        prior_var = latent.tau[j, h] if latent.gamma[j, h] == 1 else hyper.nu1 * latent.tau[j, h]
-        log_alpha = d_ll - (new * new - cur * cur) / (2.0 * prior_var)
-        if log_alpha >= 0.0 or uniforms[i] < math.exp(log_alpha):
-            a_mat[j, h] = new
-            log_lik += d_ll
-            _add_outer(grad, -delta, prec[:, j], stats.s_yy[h])
-            _add_outer(f_inv, delta / denom, f_inv[:, j].copy(), f_inv[h].copy())
-            accepted += 1
+    i = 0
+    for j in range(p):
+        a_row, f_col, g_row, v_row = a_mat[j].tolist(), f_inv[:, j].tolist(), grad[j].tolist(), prior_var[j]
+        row_before = a_row.copy()
+        prec_jj = float(prec[j, j])
+        scale = 1.0  # column j of F is f_col * scale
+        for h in range(p):
+            if h == j:
+                continue
+            delta, uniform = deltas[i], uniforms[i]
+            i += 1
+            cur = a_row[h]
+            new = cur + delta
+            denom = 1.0 - delta * f_col[h] * scale
+            if abs(denom) < 1e-12:
+                continue
+            d_quad = delta * delta * prec_jj * syy_rows[h][h] - 2.0 * delta * g_row[h]
+            d_ll = n * math.log(abs(denom)) - 0.5 * n * d_quad
+            log_alpha = d_ll - (new * new - cur * cur) / (2.0 * v_row[h])
+            if log_alpha >= 0.0 or uniform < math.exp(log_alpha):
+                a_row[h] = new
+                log_lik += d_ll
+                scale /= denom
+                shift = delta * prec_jj
+                g_row = [g - shift * s for g, s in zip(g_row, syy_rows[h])]
+                accepted += 1
+        if a_row != row_before:
+            change = np.array(a_row) - a_mat[j]
+            a_mat[j] = a_row
+            f_change = change @ f_inv
+            _add_outer(f_inv, 1.0 / (1.0 - f_change[j]), f_inv[:, j].copy(), f_change)
+            _add_outer(grad, -1.0, prec[:, j], change @ s_yy)
     state.log_lik = log_lik
-    return accepted, len(pairs)
+    return accepted, proposed
 
 
 def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
