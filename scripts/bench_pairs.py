@@ -4,23 +4,27 @@ Usage, from anywhere:
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
         --topic carried_precision --pairs fixedmap-p10=10 --pairs selection-p20=3 \\
-        --pairs covariates-p3=3 --seed 301 --traced-seed 1 --out BENCH_carried_precision.json
+        --pairs covariates-p3=3 --seed 301 --traced-pairs 3 --out BENCH_carried_precision.json
 
 Each tree is a checkout holding perfbench/run.py and src/.  Pair i of a
 workload runs `perfbench/run.py --trace 0 --seed SEED+i` once in each tree,
 the parent first for even i and the change first for odd i, so that a
 drift of the machine's speed does not favour one side.  Both runs of a
 pair use the same seed.  Every run lasts the run_seconds that the change
-tree's BENCHMARK.json sets.  With --traced-seed, each tree also gets one
-traced run (`--trace 1`) per workload, for the per-layer figures.
+tree's BENCHMARK.json sets.  With --traced-pairs N, each workload also
+gets N traced pairs (`--trace 1`), for the per-layer and mixing figures,
+on the same seeds and in the same alternating order, so that a drift of
+the machine's speed between the two sides reads as spread, not as a
+per-step change.
 
 The output holds, per workload and metric, each side's median and
 quartiles and the number of pairs the change won (a tie wins neither),
-with the direction read from the change tree's BENCHMARK.json; per
-workload, each side's fits per run (the run's `attempted`: median and
-quartiles), which peak_rss_mb tracks because the benchmark keeps every
-fit's samples until the run ends; every raw run; and the Python, numpy
-and scipy versions and nproc.  It is rewritten after every run, so an
+under "summary" for the untraced pairs and "traced_summary" for the
+traced ones, with the direction read from the change tree's
+BENCHMARK.json; per workload, each side's fits per run (the run's
+`attempted`: median and quartiles), which peak_rss_mb tracks because the
+benchmark keeps every fit's samples until the run ends; every raw run;
+and the Python, numpy and scipy versions and nproc.  It is rewritten after every run, so an
 interrupted session keeps what it measured.
 """
 
@@ -47,7 +51,7 @@ def parse_args(argv=None):
         "--pairs", action="append", required=True, metavar="WORKLOAD=N", help="N pairs on WORKLOAD; repeatable"
     )
     parser.add_argument("--seed", type=int, default=301, help="seed of pair 0; pair i uses seed + i")
-    parser.add_argument("--traced-seed", type=int, default=None, help="also one traced run per tree and workload")
+    parser.add_argument("--traced-pairs", type=int, default=0, metavar="N", help="also N traced pairs per workload")
     parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<topic>.json in the change tree")
     args = parser.parse_args(argv)
     args.pairs = [(name, int(count)) for name, count in (item.split("=", 1) for item in args.pairs)]
@@ -154,35 +158,37 @@ def main(argv=None):
             "first_seed": args.seed,
             "pairs": dict(args.pairs),
             "order": "pair i runs the parent first for even i, the change first for odd i; both use seed first_seed + i",
-            "traced_seed": args.traced_seed,
+            "traced_pairs": args.traced_pairs,
         },
         "summary": {},
-        "traced": {},
+        "traced_summary": {},
         "runs": {},
+        "traced": {},
     }
 
     def save():
         doc["written"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
         doc["summary"] = summarize(doc["runs"], directions)
+        doc["traced_summary"] = summarize(doc["traced"], directions)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    for workload, count in args.pairs:
-        pairs = doc["runs"].setdefault(workload, [])
+    def run_pairs(runs, workload, count, trace):
+        pairs = runs.setdefault(workload, [])
         for i in range(count):
             seed = args.seed + i
             pair = {"seed": seed}
             pairs.append(pair)
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                pair[side] = run_once(trees[side], workload, seed, seconds, trace=False)
+                pair[side] = run_once(trees[side], workload, seed, seconds, trace)
                 fit_s = pair[side]["metrics"].get("fit_s", {}).get("value")
-                print(f"bench_pairs: {workload} seed {seed} {side}: fit_s {fit_s}", file=sys.stderr)
+                kind = "traced" if trace else "untraced"
+                print(f"bench_pairs: {workload} {kind} seed {seed} {side}: fit_s {fit_s}", file=sys.stderr)
                 save()
-        if args.traced_seed is not None:
-            traced = doc["traced"].setdefault(workload, {})
-            for side in ("parent", "change"):
-                traced[side] = run_once(trees[side], workload, args.traced_seed, seconds, trace=True)
-                print(f"bench_pairs: {workload} traced {side} done", file=sys.stderr)
-                save()
+
+    for workload, count in args.pairs:
+        run_pairs(doc["runs"], workload, count, trace=False)
+        if args.traced_pairs:
+            run_pairs(doc["traced"], workload, args.traced_pairs, trace=True)
     save()
     return 0
 

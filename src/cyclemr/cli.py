@@ -152,7 +152,6 @@ def cmd_fit(args):
             {
                 "accept_rate_a": chain.accept_rate_a,
                 "accept_rate_b": chain.accept_rate_b,
-                "xi_a": chain.xi_a,
                 "sigma_min_eig": float(chain.sigma_min_eig.min()),
                 "n_samples": chain.n_samples,
             },

@@ -39,10 +39,12 @@ def read_matrix(path):
         raise DimensionMismatchError(f"{path}: missing matrix header")
     fields = dict(part.split("=", 1) for part in lines[0][1:].split())
     rows, cols = int(fields["rows"]), int(fields["cols"])
+    body = lines[1:]
+    if len(body) != (rows if cols else 0):
+        raise DimensionMismatchError(f"{path}: {len(body)} body rows, header says rows={rows} cols={cols}")
     if cols == 0 or rows == 0:
         return np.zeros((rows, cols))
-    data = [[float(v) for v in line.split(",")] for line in lines[1 : rows + 1]]
-    matrix = np.asarray(data, dtype=float)
+    matrix = np.asarray([[float(v) for v in line.split(",")] for line in body], dtype=float)
     if matrix.shape != (rows, cols):
         raise DimensionMismatchError(f"{path}: body shape {matrix.shape} != header ({rows}, {cols})")
     return matrix
@@ -120,9 +122,10 @@ def stats_from_dict(doc) -> SummaryStatistics:
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McmcConfig)}
 _HYPER_KEYS = {f.name for f in dataclasses.fields(Hyperparameters)}
-# Accepted and ignored, so that config files of earlier versions still load: xi_b was the
-# proposal variance of a random walk on B, which is drawn exactly.
-_IGNORED_HYPER_KEYS = {"xi_b"}
+# Accepted and ignored, so that config files of earlier versions still load: they set and
+# tuned the proposal scales of B, now drawn exactly, and of A, now scaled per entry.
+_IGNORED_HYPER_KEYS = {"xi_a", "xi_b"}
+_IGNORED_KEYS = {"adapt_proposals"}
 
 
 def _config_value(name, value):
@@ -140,7 +143,7 @@ def config_from_dict(doc):
     """
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS) - {"sample_format"}
+    unknown = set(doc) - set(_CONFIG_FIELDS) - {"sample_format"} - _IGNORED_KEYS
     if unknown:
         raise ValueError(f"unknown keys in config document: {sorted(unknown)}")
     hyper_doc = doc.get("hyper", {})

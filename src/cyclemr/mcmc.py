@@ -3,8 +3,8 @@
 One iteration applies, in order: Beta updates for the instrument-slab
 weights, the half-Cauchy scale hierarchy and inclusion indicators for B,
 an exact blocked Gibbs draw of B, the mirrored four updates for A (whose
-entries move by random-walk Metropolis, row by row, with (I - A)^{-1}
-and the likelihood gradient updated once per row), an exact
+entries move by random-walk Metropolis scaled to their own conditionals,
+row by row, with (I - A)^{-1} and the gradient updated once per row), an exact
 matrix-normal Gibbs draw for C, Bernoulli updates for the confounding
 indicators, and a column-wise blocked Gibbs draw for the error
 covariance that preserves positive definiteness by construction.
@@ -55,9 +55,6 @@ SELECTION = "selection"
 # Floor for the GIG quadratic argument; only reachable through rounding.
 GIG_QUAD_FLOOR = 1e-12
 
-# Robbins-Monro target acceptance rate for the random-walk proposals on A.
-ADAPT_TARGET = 0.35
-
 # Sweeps between checks of the cached log-likelihood against a fresh one.
 LOG_LIK_CHECK_EVERY = 1000
 
@@ -74,12 +71,12 @@ class NumericalError(ArithmeticError):
 
 @dataclass
 class Hyperparameters:
-    """Fixed prior and proposal constants.
+    """Fixed prior constants.
 
-    nu1/nu2 are the spike shrink factors for A and B, lam is both the
+    nu1/nu2 are the spike shrink factors for A and B, and lam is both the
     exponential rate on the error-covariance diagonal and the linear GIG
-    rate, and xi_a is the random-walk proposal variance for A.  B is
-    drawn exactly and needs no proposal.
+    rate.  No proposal is tuned: B is drawn exactly, and step 8 scales
+    each A proposal from its entry's conditional.
 
     The default nu1 is much smaller than nu2 because causal effects live
     on a far smaller scale than instrument effects; a 1e-2 shrink leaves
@@ -98,7 +95,6 @@ class Hyperparameters:
     pi_z: float = 0.5
     lam: float = 5.0
     tau_c: float = 10.0
-    xi_a: float = 0.01
     instrument_mode: str = FIXED_MAP
     b_prior_sd: float = 10.0
 
@@ -110,7 +106,7 @@ class Hyperparameters:
                 raise ValueError(f"hyperparameter {f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.nu1 < 1.0 and 0.0 < self.nu2 < 1.0):
             raise ValueError("spike shrink factors nu1, nu2 must lie in (0, 1)")
-        positive = ("a_rho", "b_rho", "a_psi", "b_psi", "omega1", "lam", "tau_c", "xi_a", "b_prior_sd")
+        positive = ("a_rho", "b_rho", "a_psi", "b_psi", "omega1", "lam", "tau_c", "b_prior_sd")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name} must be positive")
@@ -179,15 +175,12 @@ class McmcConfig:
     seed: int = 0
     hyper: Hyperparameters = field(default_factory=Hyperparameters)
     fixed_b_support: np.ndarray | None = None
-    adapt_proposals: bool = True
 
     def validate(self):
         for name in ("iterations", "burn_in", "thin", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.adapt_proposals, (bool, np.bool_)):
-            raise ValueError(f"adapt_proposals must be true or false, got {self.adapt_proposals!r}")
         if self.iterations < 1 or self.thin < 1:
             raise ValueError("iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
@@ -211,7 +204,6 @@ class Chain:
     sigma_min_eig: np.ndarray
     accept_rate_a: float
     accept_rate_b: float
-    xi_a: float
     config: McmcConfig
 
     @property
@@ -374,8 +366,13 @@ def update_gamma(state: ChainState, hyper: Hyperparameters, rng):
     latent.gamma[off] = sample_bernoulli(p_gamma, rng)
 
 
-def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng, xi=None):
+def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
     """Step 8: entrywise random-walk Metropolis on the off-diagonal entries of A, row by row.
+
+    A[j, h] moves by a standard normal times 2.38 (Gelman, Roberts & Gilks
+    1996) over the root of n Omega[j, j] S_yy[h, h] + 1/v, its conditional's
+    curvature without the log-det term, with v its spike or slab prior
+    variance.  It does not depend on A, so the walk stays symmetric.
 
     Moving A[j, h] by delta multiplies det(I - A) by 1 - delta F[h, j], with
     F = (I - A)^{-1}, and shifts row j of the quadratic gradient
@@ -398,23 +395,25 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     grad = prec @ r_y
     s_yy = stats.s_yy
     syy_rows = s_yy.tolist()
-    prior_var = np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau).tolist()
-    sd = math.sqrt(hyper.xi_a if xi is None else xi)
+    var = np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau)
+    prior_var = var.tolist()
+    sds = (2.38 / np.sqrt(n * np.outer(np.diag(prec), np.diag(s_yy)) + 1.0 / var)).tolist()
     proposed = p * (p - 1)
-    deltas = (sd * rng.standard_normal(proposed)).tolist()
+    normals = rng.standard_normal(proposed).tolist()
     uniforms = rng.random(proposed).tolist()
     log_lik = state.log_lik
     accepted = 0
     i = 0
     for j in range(p):
-        a_row, f_col, g_row, v_row = a_mat[j].tolist(), f_inv[:, j].tolist(), grad[j].tolist(), prior_var[j]
+        a_row, f_col, g_row = a_mat[j].tolist(), f_inv[:, j].tolist(), grad[j].tolist()
+        v_row, sd_row = prior_var[j], sds[j]
         row_before = a_row.copy()
         prec_jj = float(prec[j, j])
         scale = 1.0  # column j of F is f_col * scale
         for h in range(p):
             if h == j:
                 continue
-            delta, uniform = deltas[i], uniforms[i]
+            delta, uniform = normals[i] * sd_row[h], uniforms[i]
             i += 1
             cur = a_row[h]
             new = cur + delta
@@ -612,7 +611,7 @@ def _check_log_lik(state: ChainState, stats: SummaryStatistics):
     state.log_lik = fresh
 
 
-def mcmc_sweep(state, stats, hyper, rng, xi_a=None, check_cache=False):
+def mcmc_sweep(state, stats, hyper, rng, check_cache=False):
     """One full pass over the eleven updates; returns (accepted, proposed) for A, then B.
 
     check_cache checks the cached log-likelihood after step 8, the last
@@ -627,7 +626,7 @@ def mcmc_sweep(state, stats, hyper, rng, xi_a=None, check_cache=False):
     update_rho(state, hyper, rng)
     update_tau(state, hyper, rng)
     update_gamma(state, hyper, rng)
-    acc_a, tot_a = update_a(state, stats, hyper, rng, xi=xi_a)
+    acc_a, tot_a = update_a(state, stats, hyper, rng)
     if check_cache:
         _check_log_lik(state, stats)
     update_c(state, stats, hyper, rng)
@@ -662,20 +661,15 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     loglik = np.empty(config.iterations)
     min_eig = np.empty(config.iterations)
 
-    xi_a = hyper.xi_a
     acc_a_post = tot_a_post = acc_b_post = tot_b_post = 0
     stored = 0
 
     for it in range(1, config.iterations + 1):
         state.iteration = it
-        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(
-            state, stats, hyper, rng, xi_a=xi_a, check_cache=it % LOG_LIK_CHECK_EVERY == 0
-        )
+        check = it % LOG_LIK_CHECK_EVERY == 0
+        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng, check_cache=check)
 
         in_burn_in = it <= config.burn_in
-        if config.adapt_proposals and in_burn_in and tot_a:
-            step = 1.0 / it**0.6
-            xi_a = min(max(xi_a * math.exp(step * (acc_a / tot_a - ADAPT_TARGET)), 1e-12), 1e4)
         if not in_burn_in:
             acc_a_post += acc_a
             tot_a_post += tot_a
@@ -696,6 +690,5 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         sigma_min_eig=min_eig,
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),
         accept_rate_b=acc_b_post / tot_b_post if tot_b_post else float("nan"),
-        xi_a=xi_a,
         config=dataclasses.replace(config),
     )

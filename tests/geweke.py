@@ -181,7 +181,7 @@ def geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2024, n=30):
     """Run the full comparison on the p=2, k=2, l=0 micro-model."""
     hyper = Hyperparameters(
         nu1=0.1, nu2=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
-        tau_c=10.0, xi_a=0.2, instrument_mode="selection",
+        tau_c=10.0, instrument_mode="selection",
     )
     replicates = total_sweeps // chain_length
     mc = run_marginal_conditional(2, 2, n, hyper, replicates, seed)
@@ -197,7 +197,7 @@ def geweke_fixed_map_test(total_sweeps=30_000, chain_length=10, seed=2025, n=30)
     """Run the full comparison on the fixed-map p=3, k=4, l=1 model."""
     hyper = Hyperparameters(
         nu1=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
-        tau_c=1.0, xi_a=0.2, instrument_mode=FIXED_MAP, b_prior_sd=2.0,
+        tau_c=1.0, instrument_mode=FIXED_MAP, b_prior_sd=2.0,
     )
     p, k = FIXED_MAP_SUPPORT.shape
     replicates = total_sweeps // chain_length

@@ -55,3 +55,35 @@ def test_the_fits_per_run_are_reported(summary):
     assert fits["parent"] == {"median": 8, "q1": 8.0, "q3": 8.5}
     assert fits["change"] == {"median": 9, "q1": 9.0, "q3": 9.5}
     assert summary["metrics"]["fit_s"]["parent"] == {"median": 4.0, "q1": 3.75, "q3": 4.0}
+
+
+def test_traced_pairs_alternate_like_the_untraced_ones(tmp_path, monkeypatch):
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("")
+        (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        trees[tree.resolve()] = side
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds, trace):
+        calls.append((trees[tree], workload, seed, trace))
+        return {**run(5, fit_s=float(seed), peak_rss_mb=100.0, **{"ess.min_per_s": 1.0}), "seed": seed}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--topic", "t",
+            "--pairs", "w=1", "--seed", "901", "--traced-pairs", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        ("parent", "w", 901, False), ("change", "w", 901, False),
+        ("parent", "w", 901, True), ("change", "w", 901, True),
+        ("change", "w", 902, True), ("parent", "w", 902, True),
+        ("parent", "w", 903, True), ("change", "w", 903, True),
+    ]
+    doc = json.loads(out.read_text())
+    assert doc["protocol"]["traced_pairs"] == 3
+    assert doc["summary"]["w"]["pairs"] == 1
+    assert doc["traced_summary"]["w"]["pairs"] == 3
+    assert doc["traced_summary"]["w"]["metrics"]["fit_s"]["parent"]["median"] == 902.0

@@ -135,11 +135,11 @@ class TestFitCommand:
         [
             '"hyper": {"instrument_mode": "selection", "lam": NaN}',
             '"hyper": {"instrument_mode": "selection", "omega1": NaN}',
-            '"hyper": {"instrument_mode": "selection", "xi_a": Infinity}',
+            '"hyper": {"instrument_mode": "selection", "b_prior_sd": Infinity}',
             '"hyper": {"instrument_mode": "selection", "nu1": "0.1"}',
             '"hyper": {"instrument_mode": "selection", "tau_c": true}',
             '"hyper": 3',
-            '"adapt_proposals": "false"',
+            '"seed": "3"',
             '"iterations": 20.9',
             '"burn_in": "5"',
             '"thin": 1.5',
@@ -147,8 +147,8 @@ class TestFitCommand:
             '"fixed_b_support": [[1, null, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]',
         ],
         ids=[
-            "lam-nan", "omega1-nan", "xi_a-infinity", "nu1-string", "tau_c-bool", "hyper-not-object",
-            "adapt_proposals-string", "iterations-fractional", "burn_in-string", "thin-fractional",
+            "lam-nan", "omega1-nan", "b_prior_sd-infinity", "nu1-string", "tau_c-bool", "hyper-not-object",
+            "seed-string", "iterations-fractional", "burn_in-string", "thin-fractional",
             "seed-fractional", "fixed_b_support-null",
         ],
     )
@@ -162,6 +162,38 @@ class TestFitCommand:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "data_error" and err["type"] == "ValueError"
+        assert not out.exists()
+
+    def test_retired_config_keys_load(self, tmp_path):
+        # Keys of earlier versions' proposal tuning are accepted and ignored.
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 2, "--out", sim)
+        cfg = small_config(
+            tmp_path, adapt_proposals=True, hyper={"instrument_mode": "selection", "xi_a": 0.01, "xi_b": 0.5}
+        )
+        fit_dir = tmp_path / "fit"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", cfg, "--out", fit_dir, "--mode", "rgm-plus")
+        assert code == 0
+        snapshot = read_json(fit_dir / "manifest.json")["config"]
+        assert "adapt_proposals" not in snapshot
+        assert not {"xi_a", "xi_b"} & set(snapshot["hyper"])
+        assert "xi_a" not in read_json(fit_dir / "diagnostics.json")
+
+    @pytest.mark.parametrize("header_rows, body_rows", [(2, 3), (0, 2)], ids=["extra-row", "rows-0-with-body"])
+    def test_b_support_row_count_mismatch_exits_3(self, tmp_path, capsys, header_rows, body_rows):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 2, "--out", sim)
+        lines = (sim / "B_support.csv").read_text().splitlines()
+        cols = len(lines[1].split(","))
+        body = [",".join(["1"] * cols)] * body_rows
+        support = tmp_path / "B_support.csv"
+        support.write_text("\n".join([f"# rows={header_rows} cols={cols} name=B_support", *body]) + "\n")
+        out = tmp_path / "f"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", small_config(tmp_path), "--out", out,
+                       "--b-support", support, "--mode", "rgm")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "DimensionMismatchError"
         assert not out.exists()
 
     def test_integral_float_counts_load(self, tmp_path):

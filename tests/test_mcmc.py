@@ -172,7 +172,7 @@ class TestMetropolisSteps:
         state.log_lik = log_likelihood_summary(state.params, stats)
         for _ in range(5):
             update_b(state, stats, hyper, rng)
-            update_a(state, stats, hyper, rng, xi=0.2)
+            update_a(state, stats, hyper, rng)
             fresh = log_likelihood_summary(state.params, stats)
             assert state.log_lik == pytest.approx(fresh, abs=1e-9)
 
@@ -267,7 +267,7 @@ class TestMetropolisSteps:
         state = initial_state(stats, hyper)
         state.params.a = np.array([[0.0, 0.999], [0.999, 0.0]])
         state.log_lik = log_likelihood_summary(state.params, stats)
-        update_a(state, stats, hyper, rng, xi=0.01)
+        update_a(state, stats, hyper, rng)
         f = np.eye(2) - state.params.a
         assert abs(np.linalg.det(f)) > 0
         assert math.isfinite(state.log_lik)

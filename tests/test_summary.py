@@ -34,7 +34,6 @@ def synthetic_chain(gamma_samples, a_samples, mode=SELECTION, phi_samples=None, 
         sigma_min_eig=np.ones(m),
         accept_rate_a=0.3,
         accept_rate_b=0.3,
-        xi_a=0.01,
         config=config,
     )
 

@@ -1,9 +1,9 @@
 """Step 8 row by row against the entrywise reference it replaced.
 
 reference_update_a is the random-walk Metropolis step on A as it was
-written before the row-wise sweep: every accepted move applies its own
-two rank-one updates, one to (I - A)^{-1} and one to the gradient
-Omega R_y.  From equal states and generators seeded alike, both must make
+written before the row-wise sweep, with the per-entry proposal scale of
+update_a: every accepted move applies its own two rank-one updates, one
+to (I - A)^{-1} and one to the gradient Omega R_y.  From equal states and generators seeded alike, both must make
 the same accept/reject decisions, advance the cached log-likelihood alike
 and consume the same random stream.
 
@@ -25,7 +25,7 @@ from cyclemr.model import log_likelihood_summary, residual_moments
 from test_sigma_star_carried import mixed_state
 
 
-def reference_update_a(state, stats, hyper, rng, xi=None):
+def reference_update_a(state, stats, hyper, rng):
     """Step 8 with one Sherman-Morrison and one gradient update per accepted move."""
     params, latent = state.params, state.latent
     p = params.p
@@ -38,22 +38,21 @@ def reference_update_a(state, stats, hyper, rng, xi=None):
     grad = prec @ r_y
     prec_diag = np.diag(prec).copy()
     syy_diag = np.diag(stats.s_yy).copy()
-    sd = math.sqrt(hyper.xi_a if xi is None else xi)
     pairs = [(j, h) for j in range(p) for h in range(p) if j != h]
-    deltas = (sd * rng.standard_normal(len(pairs))).tolist()
+    normals = rng.standard_normal(len(pairs)).tolist()
     uniforms = rng.random(len(pairs)).tolist()
     log_lik = state.log_lik
     accepted = 0
     for i, (j, h) in enumerate(pairs):
         cur = a_mat[j, h]
-        delta = deltas[i]
+        prior_var = latent.tau[j, h] if latent.gamma[j, h] == 1 else hyper.nu1 * latent.tau[j, h]
+        delta = normals[i] * (2.38 / math.sqrt(n * (prec_diag[j] * syy_diag[h]) + 1.0 / prior_var))
         new = cur + delta
         denom = 1.0 - delta * f_inv[h, j]
         if abs(denom) < 1e-12:
             continue
         d_quad = delta * delta * prec_diag[j] * syy_diag[h] - 2.0 * delta * grad[j, h]
         d_ll = n * math.log(abs(denom)) - 0.5 * n * d_quad
-        prior_var = latent.tau[j, h] if latent.gamma[j, h] == 1 else hyper.nu1 * latent.tau[j, h]
         log_alpha = d_ll - (new * new - cur * cur) / (2.0 * prior_var)
         if log_alpha >= 0.0 or uniforms[i] < math.exp(log_alpha):
             a_mat[j, h] = new
@@ -82,17 +81,19 @@ def correlated_state(p, seed):
     return state, stats, hyper
 
 
-@pytest.mark.parametrize("xi", [0.2, 0.01, 1e-4])
+@pytest.mark.parametrize("tau_factor", [0.2, 0.01, 1e-4])
 @pytest.mark.parametrize("p", [2, 3, 10])
-def test_row_wise_step_matches_entrywise_reference(p, xi):
+def test_row_wise_step_matches_entrywise_reference(p, tau_factor):
     state, stats, hyper = correlated_state(p, seed=70 + p)
+    # Scaling tau scales the prior variances, and with them the proposals, over four decades.
+    state.latent.tau *= tau_factor
     reference = copy.deepcopy(state)
     rng = np.random.Generator(np.random.PCG64(11))
     rng_ref = np.random.Generator(np.random.PCG64(11))
     accepted = 0
     for call in range(200):
-        counts = update_a(state, stats, hyper, rng, xi=xi)
-        assert counts == reference_update_a(reference, stats, hyper, rng_ref, xi=xi), call
+        counts = update_a(state, stats, hyper, rng)
+        assert counts == reference_update_a(reference, stats, hyper, rng_ref), call
         np.testing.assert_array_equal(state.params.a, reference.params.a, err_msg=f"call {call}")
         assert state.log_lik == pytest.approx(reference.log_lik, rel=1e-12, abs=0), call
         accepted += counts[0]
