@@ -11,9 +11,13 @@ covariance that preserves positive definiteness by construction.
 
 Only the last step changes Sigma*, so the chain state carries
 Omega = Sigma*^{-1} and log|Sigma*| from one sweep to the next.  Steps 4,
-8 and 9 and the likelihood read them; step 11 keeps Omega current column
-by column with rank-one updates and then refreshes both from one fresh
-Cholesky factor of Sigma*, so rounding drift never outlives a sweep.
+8, 9 and 11 read them; step 11 keeps Omega current column by column with
+rank-one updates and then refreshes both from one fresh Cholesky factor
+of Sigma*, so rounding drift never outlives a sweep.
+
+No accept/reject decision reads the cached log-likelihood: steps 4, 8, 9
+and 11 advance it by exact increments, and run_chain checks it against a
+fresh one after every LOG_LIK_CHECK_EVERY-th sweep.
 
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
@@ -43,6 +47,7 @@ from .model import (
     _chol_logdet,
     _chol_lower,
     log_likelihood_summary,
+    logabsdet_i_minus_a,
     residual_moments,
     residual_scatter,
 )
@@ -145,7 +150,8 @@ class ChainState:
     omega = Sigma*^{-1} and logdet_sigma = log|Sigma*| are carried with
     the state and derived from params.sigma_star on construction.  Code
     that assigns params.sigma_star by hand must call refresh_precision
-    afterwards, or steps 4, 8, 9 and 11 read a stale Omega.
+    afterwards, or steps 4, 8, 9 and 11 read a stale Omega; code that
+    assigns any parameter by hand must reset log_lik too.
     """
 
     params: ModelParameters
@@ -209,13 +215,6 @@ class Chain:
     @property
     def n_samples(self):
         return self.a.shape[0]
-
-
-def _log_lik(state: ChainState, stats: SummaryStatistics):
-    """Summary log-likelihood of the state, from its carried Omega and log|Sigma*|."""
-    return log_likelihood_summary(
-        state.params, stats, precision=state.omega, logdet_sigma=state.logdet_sigma
-    )
 
 
 def _draw_gaussian(prec, linear, normals, what):
@@ -453,8 +452,11 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     col_cov = _chol_inverse(chol)
     r_u, _ = residual_moments(params, stats, slice(params.p + stats.dims.k, None))
     mean = n * (r_u + params.c @ stats.s_uu) @ col_cov
+    c_old = params.c
     params.c = sample_matrix_normal(MatrixNormalParams(mean, params.sigma_star, col_cov), rng)
-    state.log_lik = _log_lik(state, stats)
+    delta = params.c - c_old
+    # C + Delta moves Q = tr(Omega R Theta') by tr(Delta' Omega (Delta S_uu - 2 R_u)).
+    state.log_lik -= 0.5 * n * float(np.sum((state.omega @ delta) * (delta @ stats.s_uu - 2.0 * r_u)))
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):
@@ -504,54 +506,54 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     n = stats.dims.n
     lam = hyper.lam
     scatter = residual_scatter(params, stats, hyper.tau_c)
+    # The log-likelihood is a constant minus (sum(Omega o resid) + n log|Sigma*|) / 2.
+    resid = scatter - params.c @ params.c.T / hyper.tau_c  # n R Theta'
+    before = float(np.sum(state.omega * resid)) + n * state.logdet_sigma
     sigma = params.sigma_star
     # |Sigma*|^(-n/2) from the likelihood and ^(-l/2) from C's matrix-normal prior.
     order = 1.0 - (n + stats.dims.l) / 2.0
 
-    if p == 1:
-        quad = max(float(scatter[0, 0]), GIG_QUAD_FLOOR)
-        sigma[0, 0] = sample_gig(GigParams(order, lam, quad), rng)
-    else:
-        prior_prec = 1.0 / np.where(latent.z == 1, hyper.omega1**2, hyper.omega2**2)
-        # With K's row and column j zero, this makes coordinate j of column j's
-        # precision exactly one and uncoupled, and its draw exactly zero.
-        np.fill_diagonal(prior_prec, 1.0)
-        k_mat = state.omega  # K while column j is drawn, Omega again after it
-        normals = np.zeros(p)  # entry j stays zero
-        for j in range(p):
-            w = k_mat[:, j].copy()
-            w_jj = float(w[j])  # 1 / the current v
-            _add_outer(k_mat, -1.0 / w_jj, w, w)
-            k_mat[:, j] = 0.0
-            k_mat[j, :] = 0.0
-            k_s = k_mat @ scatter
-            u_prec = (k_s @ k_mat) * w_jj + lam * k_mat
-            u_prec.flat[:: p + 1] += prior_prec[:, j]
-            drawn = rng.standard_normal(p - 1)
-            normals[:j], normals[j + 1 :] = drawn[:j], drawn[j:]
-            # _draw_gaussian factors the lower triangle only, so u_prec needs no symmetrizing.
-            u = _draw_gaussian(u_prec, k_s[:, j] * w_jj, normals, "error-covariance column")
+    prior_prec = 1.0 / np.where(latent.z == 1, hyper.omega1**2, hyper.omega2**2)
+    # With K's row and column j zero, this makes coordinate j of column j's
+    # precision exactly one and uncoupled, and its draw exactly zero.
+    np.fill_diagonal(prior_prec, 1.0)
+    k_mat = state.omega  # K while column j is drawn, Omega again after it
+    normals = np.zeros(p)  # entry j stays zero
+    for j in range(p):
+        w = k_mat[:, j].copy()
+        w_jj = float(w[j])  # 1 / the current v
+        _add_outer(k_mat, -1.0 / w_jj, w, w)
+        k_mat[:, j] = 0.0
+        k_mat[j, :] = 0.0
+        k_s = k_mat @ scatter
+        u_prec = (k_s @ k_mat) * w_jj + lam * k_mat
+        u_prec.flat[:: p + 1] += prior_prec[:, j]
+        drawn = rng.standard_normal(p - 1)
+        normals[:j], normals[j + 1 :] = drawn[:j], drawn[j:]
+        # _draw_gaussian factors the lower triangle only, so u_prec needs no symmetrizing.
+        u = _draw_gaussian(u_prec, k_s[:, j] * w_jj, normals, "error-covariance column")
 
-            t = k_mat @ u
-            s_t = scatter @ t
-            quad = float(t @ s_t - 2.0 * s_t[j] + scatter[j, j])
-            if quad <= GIG_QUAD_FLOOR:
-                logger.warning("GIG quadratic argument %.3e clamped to floor", quad)
-                quad = GIG_QUAD_FLOOR
-            v_new = sample_gig(GigParams(order, lam, quad), rng)
+        t = k_mat @ u
+        s_t = scatter @ t
+        quad = float(t @ s_t - 2.0 * s_t[j] + scatter[j, j])
+        if quad <= GIG_QUAD_FLOOR:
+            logger.warning("GIG quadratic argument %.3e clamped to floor", quad)
+            quad = GIG_QUAD_FLOOR
+        v_new = sample_gig(GigParams(order, lam, quad), rng)
 
-            sigma[:, j] = u
-            sigma[j, :] = u
-            sigma[j, j] = v_new + float(u @ t)
-            _add_outer(k_mat, 1.0 / v_new, t, t)
-            omega_j = t * (-1.0 / v_new)
-            k_mat[:, j] = omega_j
-            k_mat[j, :] = omega_j
-            k_mat[j, j] = 1.0 / v_new
+        sigma[:, j] = u
+        sigma[j, :] = u
+        sigma[j, j] = v_new + float(u @ t)
+        _add_outer(k_mat, 1.0 / v_new, t, t)
+        omega_j = t * (-1.0 / v_new)
+        k_mat[:, j] = omega_j
+        k_mat[j, :] = omega_j
+        k_mat[j, j] = 1.0 / v_new
 
     state.refresh_precision()
-    state.log_lik = _log_lik(state, stats)
-    if not math.isfinite(state.log_lik):
+    after = float(np.sum(state.omega * resid)) + n * state.logdet_sigma
+    state.log_lik -= 0.5 * (after - before)
+    if logabsdet_i_minus_a(params.a) is None or not math.isfinite(state.log_lik):
         raise NumericalError("non-finite log-likelihood after the blocked Gibbs sweep")
 
 
@@ -593,17 +595,17 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
         eta=np.ones((p, k)),
         z=np.ones((p, p), dtype=int),
     )
-    state = ChainState(params=params, latent=latent, log_lik=math.nan)
-    state.log_lik = _log_lik(state, stats)
+    state = ChainState(params=params, latent=latent, log_lik=log_likelihood_summary(params, stats))
     if not math.isfinite(state.log_lik):
         raise NumericalError("non-finite log-likelihood at initialization")
     return state
 
 
 def _check_log_lik(state: ChainState, stats: SummaryStatistics):
-    """Replace the cached log-likelihood by a fresh one; raise NumericalError past 1e-8 relative."""
+    """Replace the cached log-likelihood by a fresh one; both must be finite and agree to 1e-8 relative."""
     fresh = log_likelihood_summary(state.params, stats)
-    if abs(fresh - state.log_lik) > 1e-8 * max(1.0, abs(fresh)):
+    # A non-finite cache fails the comparison; a non-finite fresh value could pass it.
+    if not (math.isfinite(fresh) and abs(fresh - state.log_lik) <= 1e-8 * max(1.0, abs(fresh))):
         raise NumericalError(
             f"cached log-likelihood diverged at iteration {state.iteration}: "
             f"cached {state.log_lik!r}, fresh {fresh!r}"
@@ -611,11 +613,11 @@ def _check_log_lik(state: ChainState, stats: SummaryStatistics):
     state.log_lik = fresh
 
 
-def mcmc_sweep(state, stats, hyper, rng, check_cache=False):
+def mcmc_sweep(state, stats, hyper, rng):
     """One full pass over the eleven updates; returns (accepted, proposed) for A, then B.
 
-    check_cache checks the cached log-likelihood after step 8, the last
-    step that advances it by an increment; steps 9 and 11 recompute it.
+    Steps 4, 8, 9 and 11 advance the cached log-likelihood by their exact
+    increments; none of them computes a fresh one.
     """
     selection = hyper.instrument_mode == SELECTION
     if selection:
@@ -627,8 +629,6 @@ def mcmc_sweep(state, stats, hyper, rng, check_cache=False):
     update_tau(state, hyper, rng)
     update_gamma(state, hyper, rng)
     acc_a, tot_a = update_a(state, stats, hyper, rng)
-    if check_cache:
-        _check_log_lik(state, stats)
     update_c(state, stats, hyper, rng)
     update_z(state, hyper, rng)
     update_sigma_star(state, stats, hyper, rng)
@@ -638,11 +638,10 @@ def mcmc_sweep(state, stats, hyper, rng, check_cache=False):
 def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     """Run the full kernel and collect thinned post-burn-in samples.
 
-    Fully deterministic given config.seed.  Every LOG_LIK_CHECK_EVERY
-    sweeps the log-likelihood that steps 4 and 8 advance by increments is
-    recomputed from scratch after step 8 and must agree with the cached
-    value to 1e-8 relative, or NumericalError is raised.  Samples of the
-    SAMPLED arrays are kept every config.thin sweeps after burn-in.
+    Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
+    sweep the cached log-likelihood is replaced by a fresh one; the two must
+    be finite and agree to 1e-8 relative, or NumericalError is raised.
+    Samples of the SAMPLED arrays are kept every config.thin sweeps after burn-in.
     """
     config.validate()
     hyper = config.hyper
@@ -666,8 +665,9 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
 
     for it in range(1, config.iterations + 1):
         state.iteration = it
-        check = it % LOG_LIK_CHECK_EVERY == 0
-        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng, check_cache=check)
+        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
+        if it % LOG_LIK_CHECK_EVERY == 0:
+            _check_log_lik(state, stats)
 
         in_burn_in = it <= config.burn_in
         if not in_burn_in:

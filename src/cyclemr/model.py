@@ -267,42 +267,28 @@ def residual_moments(params: ModelParameters, stats: SummaryStatistics, cols=sli
     return theta @ stats.joint[:, cols], theta
 
 
-def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision=None):
-    """The per-sample quadratic Q = tr(P R Theta'), P = Sigma*^{-1}, of the summary-form likelihood."""
-    if precision is None:
-        chol = _chol_lower(params.sigma_star)
-        if chol is None:
-            raise NotPositiveDefiniteError("Sigma* is not positive definite")
-        precision = _chol_inverse(chol)
+def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision):
+    """The per-sample quadratic Q = tr(P R Theta') of the summary-form likelihood, given P = Sigma*^{-1}."""
     r, theta = residual_moments(params, stats)
     return float(np.sum(precision * (r @ theta.T)))
 
 
-def log_likelihood_summary(
-    params: ModelParameters, stats: SummaryStatistics, *, precision=None, logdet_sigma=None
-) -> float:
+def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) -> float:
     """Summary-statistics form of the conditional log-likelihood.
 
     Equals log_likelihood_raw on the data that produced the statistics.
-    Returns -inf on singular (I - A) or non-PD Sigma*.  A caller that
-    already holds Sigma*^{-1} and log|Sigma*| passes both as precision
-    and logdet_sigma, and Sigma* is then not factored.
+    Returns -inf on singular (I - A) or non-PD Sigma*.
     """
     dims = stats.dims
     p, n = dims.p, dims.n
     ld_f = logabsdet_i_minus_a(params.a)
     if ld_f is None:
         return float("-inf")
-    if (precision is None) != (logdet_sigma is None):
-        raise ValueError("pass precision and logdet_sigma together or not at all")
-    if precision is None:
-        chol = _chol_lower(params.sigma_star)
-        if chol is None:
-            return float("-inf")
-        precision = _chol_inverse(chol)
-        logdet_sigma = _chol_logdet(chol)
-    q = quadratic_form(params, stats, precision=precision)
-    return -0.5 * n * p * LOG_2PI - 0.5 * n * logdet_sigma + n * ld_f - 0.5 * n * q
+    chol = _chol_lower(params.sigma_star)
+    if chol is None:
+        return float("-inf")
+    q = quadratic_form(params, stats, _chol_inverse(chol))
+    return -0.5 * n * p * LOG_2PI - 0.5 * n * _chol_logdet(chol) + n * ld_f - 0.5 * n * q
 
 
 def residual_scatter(params: ModelParameters, stats: SummaryStatistics, tau_c: float) -> np.ndarray:

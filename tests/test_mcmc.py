@@ -171,10 +171,10 @@ class TestMetropolisSteps:
         state.refresh_precision()
         state.log_lik = log_likelihood_summary(state.params, stats)
         for _ in range(5):
-            update_b(state, stats, hyper, rng)
-            update_a(state, stats, hyper, rng)
-            fresh = log_likelihood_summary(state.params, stats)
-            assert state.log_lik == pytest.approx(fresh, abs=1e-9)
+            for step in (update_b, update_a, update_c, update_sigma_star):
+                step(state, stats, hyper, rng)
+                fresh = log_likelihood_summary(state.params, stats)
+                assert state.log_lik == pytest.approx(fresh, abs=1e-9), step.__name__
 
     def test_update_b_conjugate_oracle(self):
         # p=1, k=1 fixed-map: y = b x + e with known Sigma*; the draws are
@@ -415,26 +415,39 @@ class TestRunChain:
         config = McmcConfig(
             iterations=1_000, burn_in=500, thin=1, seed=5, hyper=selection_hyper()
         )
-        chain = run_chain(stats, config)  # internal 1e-8 check runs after step 8 of iteration 1000
+        chain = run_chain(stats, config)  # internal 1e-8 check runs after the sweep of iteration 1000
         assert np.all(np.isfinite(chain.loglik))
         assert np.all(chain.sigma_min_eig > 0)
 
-    def test_cache_check_catches_a_wrong_increment(self, monkeypatch):
-        # Steps 4 and 8 advance the cached log-likelihood by increments and
-        # step 11 replaces it, so the periodic check must run before step 11.
+    @pytest.mark.parametrize("step", ["update_b", "update_c", "update_sigma_star"])
+    def test_cache_check_catches_a_wrong_increment(self, monkeypatch, step):
+        # Steps 4, 8, 9 and 11 advance the cached log-likelihood by increments
+        # and none recomputes it, so the check after the sweep sees a drift in any of them.
+        # The drift comes only in the checked sweep, which a check placed before the step would miss.
         rng = np.random.default_rng(20)
-        stats = make_stats(rng, p=2, k=2, n=60)
-        exact_update_b = mcmc.update_b
+        stats = make_stats(rng, p=2, k=2, l=1, n=60)
+        exact_step = getattr(mcmc, step)
 
-        def drifting_update_b(state, *args):
-            result = exact_update_b(state, *args)
-            state.log_lik += 1.0
+        def drifting_step(state, *args):
+            result = exact_step(state, *args)
+            if state.iteration == mcmc.LOG_LIK_CHECK_EVERY:
+                state.log_lik += 1.0
             return result
 
-        monkeypatch.setattr(mcmc, "update_b", drifting_update_b)
+        monkeypatch.setattr(mcmc, step, drifting_step)
         config = McmcConfig(iterations=1_000, burn_in=500, thin=1, seed=5, hyper=selection_hyper())
         with pytest.raises(NumericalError, match="iteration 1000"):
             run_chain(stats, config)
+
+    @pytest.mark.parametrize("cached, fresh", [(-1.0, -math.inf), (math.nan, -1.0), (-math.inf, -math.inf)])
+    def test_cache_check_rejects_non_finite_values(self, monkeypatch, cached, fresh):
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        state = initial_state(stats, selection_hyper())
+        state.log_lik = cached
+        monkeypatch.setattr(mcmc, "log_likelihood_summary", lambda params, stats: fresh)
+        with pytest.raises(NumericalError, match="diverged"):
+            mcmc._check_log_lik(state, stats)
 
     def test_invalid_config_rejected(self):
         rng = np.random.default_rng(21)

@@ -148,19 +148,6 @@ class TestLogLikelihoodSummary:
             ls = log_likelihood_summary(params, stats)
             assert abs(ls - lr) <= 1e-8 * max(1.0, abs(lr))
 
-    def test_given_precision_and_logdet_match_a_fresh_factorization(self):
-        rng = np.random.default_rng(43)
-        params, data = random_instance(rng, p=3, k=2, l=1, n=20)
-        stats = compute_sufficient_stats(data)
-        sign, logdet = np.linalg.slogdet(params.sigma_star)
-        given = log_likelihood_summary(
-            params, stats, precision=np.linalg.inv(params.sigma_star), logdet_sigma=logdet
-        )
-        assert sign == 1.0
-        assert given == pytest.approx(log_likelihood_summary(params, stats), rel=1e-12)
-        with pytest.raises(ValueError, match="together"):
-            log_likelihood_summary(params, stats, precision=np.linalg.inv(params.sigma_star))
-
     def test_quadratic_invariant_to_block_transposition(self):
         rng = np.random.default_rng(5)
         params, data = random_instance(rng, p=3, k=4, l=2, n=30)
@@ -174,8 +161,9 @@ class TestLogLikelihoodSummary:
             s_uu=stats.s_uu.T.copy(),
             dims=stats.dims,
         )
-        assert quadratic_form(params, stats) == pytest.approx(
-            quadratic_form(params, flipped), rel=1e-12
+        prec = np.linalg.inv(params.sigma_star)
+        assert quadratic_form(params, stats, prec) == pytest.approx(
+            quadratic_form(params, flipped, prec), rel=1e-12
         )
 
 
@@ -207,7 +195,7 @@ class TestResidualScatter:
             scatter = residual_scatter(params, stats, tau_c)
             prec = np.linalg.inv(params.sigma_star)
             lhs = float(np.sum(prec * scatter))
-            rhs = stats.dims.n * quadratic_form(params, stats) + float(
+            rhs = stats.dims.n * quadratic_form(params, stats, prec) + float(
                 np.sum(prec * (params.c @ params.c.T))
             ) / tau_c
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

@@ -90,6 +90,7 @@ def mixed_state(p, seed):
     z = (rng.random((p, p)) < 0.5).astype(int)
     z = np.triu(z, 1) + np.triu(z, 1).T + np.eye(p, dtype=int)
     state.latent.z = z
+    state.log_lik = log_likelihood_summary(state.params, stats)
     return state, stats, hyper
 
 
@@ -112,7 +113,6 @@ def test_carried_omega_stays_exact_over_5000_sweeps(monkeypatch):
     # Before each refresh, Omega has been carried through one sweep's p
     # rank-one rebuilds; it must still invert Sigma* then, and after the last sweep.
     state, stats, hyper = mixed_state(3, seed=60)
-    state.log_lik = log_likelihood_summary(state.params, stats)
     eye = np.eye(3)
     drift = []
     refresh = ChainState.refresh_precision
