@@ -18,10 +18,14 @@ the machine's speed between the two sides reads as spread, not as a
 per-step change.
 
 The output holds, per workload and metric, each side's median and
-quartiles and the number of pairs the change won (a tie wins neither),
-under "summary" for the untraced pairs and "traced_summary" for the
-traced ones, with the direction read from the change tree's
-BENCHMARK.json; per workload, each side's fits per run (the run's
+quartiles, the number of pairs the change won (a tie wins neither) and a
+verdict, under "summary" for the untraced pairs and "traced_summary" for
+the traced ones, with the direction and bound read from the change
+tree's BENCHMARK.json.  The verdict's claim_met holds when the change won
+at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's quartile spread; within_bound holds
+when the change's median is no worse than the parent's by more than the
+metric's relative bound (null for a metric without one).  Per workload, each side's fits per run (the run's
 `attempted`: median and quartiles), which peak_rss_mb tracks because the
 benchmark keeps every fit's samples until the run ends; every raw run;
 and the Python, numpy and scipy versions and nproc.  It is rewritten after every run, so an
@@ -89,8 +93,26 @@ def metric_directions(bench):
     return {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
 
 
-def summarize(runs, directions):
-    """Per workload and metric: each side's median and quartiles, and the pairs the change won.
+def metric_bounds(bench):
+    """Metric name -> the relative bound by which it may worsen, for the metrics BENCHMARK.json bounds."""
+    return {m["name"]: m["bound"] for m in bench.get("end_to_end", []) if "bound" in m}
+
+
+def verdict(row, bound):
+    """claim_met and within_bound for one summarized metric; see the module docstring."""
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    gain = parent - change if row["better"] == "lower" else change - parent
+    within = None
+    if bound is not None:
+        within = change <= parent * (1.0 + bound) if row["better"] == "lower" else change >= parent * (1.0 - bound)
+    return {
+        "claim_met": 10 * row["change_won"] >= 9 * row["pairs"] and gain > row["parent_quartile_spread"],
+        "within_bound": within,
+    }
+
+
+def summarize(runs, directions, bounds):
+    """Per workload and metric: each side's median and quartiles, the pairs the change won and the verdict.
 
     Each workload also gets each side's fits per run, which peak_rss_mb tracks.
     """
@@ -112,6 +134,7 @@ def summarize(runs, directions):
             row["change_won"] = won
             row["pairs"] = len(complete)
             row["parent_quartile_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
+            row["verdict"] = verdict(row, bounds.get(name))
             table[name] = row
         # A run that printed no result has no fit count.
         fits = {side: [pair[side].get("attempted") for pair in complete] for side in ("parent", "change")}
@@ -147,7 +170,7 @@ def main(argv=None):
             raise SystemExit(f"bench_pairs: no perfbench/run.py under {tree}")
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    directions = metric_directions(bench)
+    directions, bounds = metric_directions(bench), metric_bounds(bench)
     doc = {
         "topic": args.topic,
         "written": None,
@@ -168,8 +191,8 @@ def main(argv=None):
 
     def save():
         doc["written"] = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        doc["summary"] = summarize(doc["runs"], directions)
-        doc["traced_summary"] = summarize(doc["traced"], directions)
+        doc["summary"] = summarize(doc["runs"], directions, bounds)
+        doc["traced_summary"] = summarize(doc["traced"], directions, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     def run_pairs(runs, workload, count, trace):

@@ -98,8 +98,8 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     total = inv_xi + q + inv_zeta
 
     while True:
-        u = rng.random() * total
-        v = rng.random()
+        u, v, w = rng.random(3).tolist()
+        u *= total
         if u < q:
             rnd = -sd + q * v
         elif u < q + inv_zeta:
@@ -112,7 +112,7 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
             envelope = math.exp(-eta - zeta * (rnd - t))
         else:
             envelope = math.exp(-theta + xi * (rnd + s))
-        if rng.random() * envelope <= math.exp(_gig_psi(rnd, alpha, lam)):
+        if w * envelope <= math.exp(_gig_psi(rnd, alpha, lam)):
             break
 
     # Transform back from the standardized variable.
@@ -152,8 +152,12 @@ def sample_matrix_normal(params: MatrixNormalParams, rng: np.random.Generator) -
     l_col = _chol_lower(params.col_cov)
     if l_col is None:
         raise NotPositiveDefiniteError("matrix-normal column covariance is not positive definite")
-    z = rng.standard_normal(params.mean.shape)
-    return params.mean + l_row @ z @ l_col.T
+    return draw_matrix_normal(params.mean, l_row, l_col, rng)
+
+
+def draw_matrix_normal(mean, l_row, l_col, rng: np.random.Generator) -> np.ndarray:
+    """mean + l_row Z l_col' with Z iid standard normal, given the lower Cholesky factors of both covariances."""
+    return mean + l_row @ rng.standard_normal(mean.shape) @ l_col.T
 
 
 def sample_inverse_gamma(shape, scale, rng: np.random.Generator):
@@ -165,7 +169,8 @@ def sample_inverse_gamma(shape, scale, rng: np.random.Generator):
     """
     shape = np.asarray(shape, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    if np.any(shape <= 0) or np.any(scale <= 0):
+    # Written so that NaN fails too.
+    if not ((shape > 0).all() and (scale > 0).all()):
         raise ValueError("inverse-gamma parameters must be positive")
     gamma = rng.gamma(shape, 1.0, size=np.broadcast_shapes(shape.shape, scale.shape))
     with np.errstate(divide="ignore", over="ignore"):
@@ -177,7 +182,7 @@ def sample_beta(a, b, rng: np.random.Generator):
     """Standard beta; accepts array arguments."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
+    if not ((a > 0).all() and (b > 0).all()):
         raise ValueError("beta shapes must be positive")
     draw = rng.beta(a, b)
     return float(draw) if np.ndim(draw) == 0 else draw
@@ -186,7 +191,7 @@ def sample_beta(a, b, rng: np.random.Generator):
 def sample_bernoulli(q, rng: np.random.Generator):
     """Bernoulli indicator draw; q clamped to [0, 1] within 1e-12 slack."""
     q = np.asarray(q, dtype=float)
-    if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
+    if not ((q >= -1e-12).all() and (q <= 1.0 + 1e-12).all()):
         raise ValueError("bernoulli probability outside [0, 1]")
     q = np.clip(q, 0.0, 1.0)
     draw = (rng.random(q.shape) < q).astype(np.int8)

@@ -10,14 +10,19 @@ indicators, and a column-wise blocked Gibbs draw for the error
 covariance that preserves positive definiteness by construction.
 
 Only the last step changes Sigma*, so the chain state carries
-Omega = Sigma*^{-1} and log|Sigma*| from one sweep to the next.  Steps 4,
-8, 9 and 11 read them; step 11 keeps Omega current column by column with
+Omega = Sigma*^{-1}, log|Sigma*| and the Cholesky factor of Sigma* from
+one sweep to the next.  Steps 4, 8, 9 and 11 read them; step 11 keeps Omega current column by column with
 rank-one updates and then refreshes both from one fresh Cholesky factor
 of Sigma*, so rounding drift never outlives a sweep.
 
 No accept/reject decision reads the cached log-likelihood: steps 4, 8, 9
 and 11 advance it by exact increments, and run_chain checks it against a
 fresh one after every LOG_LIK_CHECK_EVERY-th sweep.
+
+Step 4 factors each selection-mode row precision in place, and step 8
+computes every proposal's sweep-constant terms before its row loop.  Work
+that depends only on the statistics and the hyperparameters is built once
+per chain and held on the state (ChainState.per_chain).
 
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
@@ -35,11 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgetrf, dgetri, dtrtrs
 from scipy.special import expit
 
-from .distributions import GigParams, MatrixNormalParams, sample_beta, sample_bernoulli, sample_gig
-from .distributions import sample_inverse_gamma, sample_matrix_normal
+from .distributions import GigParams, draw_matrix_normal, sample_beta, sample_bernoulli, sample_gig
+from .distributions import sample_inverse_gamma
 from .model import (
     ModelParameters,
     SummaryStatistics,
@@ -147,11 +152,13 @@ class LatentState:
 class ChainState:
     """One point of the chain with its cached summary log-likelihood.
 
-    omega = Sigma*^{-1} and logdet_sigma = log|Sigma*| are carried with
-    the state and derived from params.sigma_star on construction.  Code
-    that assigns params.sigma_star by hand must call refresh_precision
-    afterwards, or steps 4, 8, 9 and 11 read a stale Omega; code that
-    assigns any parameter by hand must reset log_lik too.
+    omega = Sigma*^{-1}, logdet_sigma = log|Sigma*| and chol_sigma, the
+    lower Cholesky factor of Sigma*, are carried with the state and
+    derived from params.sigma_star on construction.  Code that assigns
+    params.sigma_star by hand must call refresh_precision afterwards, or
+    steps 4, 8, 9 and 11 read a stale Omega; code that assigns any
+    parameter by hand must reset log_lik too.  per_chain holds work that
+    the steps build once per chain.
     """
 
     params: ModelParameters
@@ -160,17 +167,31 @@ class ChainState:
     iteration: int = 0
     omega: np.ndarray = field(init=False, repr=False)
     logdet_sigma: float = field(init=False, repr=False)
+    chol_sigma: np.ndarray = field(init=False, repr=False)
+    _per_chain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.refresh_precision()
 
     def refresh_precision(self):
-        """Recompute omega and logdet_sigma from one Cholesky factor of params.sigma_star."""
+        """Recompute omega, logdet_sigma and chol_sigma from one Cholesky factor of params.sigma_star."""
         chol = _chol_lower(self.params.sigma_star)
         if chol is None:
             raise NumericalError("Sigma* is not positive definite")
+        self.chol_sigma = chol
         self.omega = _chol_inverse(chol)
         self.logdet_sigma = _chol_logdet(chol)
+
+    def per_chain(self, name, stats, key, build):
+        """The value of build(), built again only when stats (by identity) or key (by value) changes.
+
+        Holds work that depends only on the statistics and on values the
+        kernel never changes, such as hyperparameters.
+        """
+        held = self._per_chain.get(name)
+        if held is None or held[0] is not stats or held[1] != key:
+            held = self._per_chain[name] = (stats, key, build())
+        return held[2]
 
 
 @dataclass
@@ -217,14 +238,21 @@ class Chain:
         return self.a.shape[0]
 
 
-def _draw_gaussian(prec, linear, normals, what):
-    """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec and standard normals."""
-    chol = _chol_lower(prec)
+def _draw_gaussian(prec, linear, normals, what, overwrite=False):
+    """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec and standard normals.
+
+    With prec = L L', the draw is L'^-1 (L^-1 linear + normals): two
+    triangular solves (Rue 2001, "Fast sampling of Gaussian Markov random
+    fields", JRSS B 63(2)).  With overwrite, a Fortran-ordered prec is
+    factored in place.
+    """
+    chol = _chol_lower(prec, overwrite=overwrite)
     if chol is None:
         raise NumericalError(f"{what} precision is not positive definite")
-    mean, _ = dpotrs(chol, linear, lower=1)
-    noise, _ = dtrtrs(chol, normals, lower=1, trans=1)
-    return mean + noise
+    half, _ = dtrtrs(chol, linear, lower=1)
+    half += normals
+    draw, _ = dtrtrs(chol, half, lower=1, trans=1, overwrite_b=1)
+    return draw
 
 
 def _add_outer(mat, alpha, x, y):
@@ -300,42 +328,80 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     one row at a time.  Given the rest, a block E = (rows r, cols c) is
     Gaussian with precision L + diag(1 / prior variance), where
     L = n Omega[r, r'] S_xx[c, c'] and Omega = Sigma*^-1, and linear term
-    n (Omega R_x)[E] + L b_E, with R_x from model.residual_moments.
-    The cached log-likelihood advances by the exact quadratic increment.
+    g + L b_E, with g = n (Omega R_x)[E] and R_x from model.residual_moments.
+    The cached log-likelihood advances by the exact quadratic increment
+    delta' g - delta' L delta / 2.
+
+    In fixed-map mode phi never changes, so the support, its S_xx blocks
+    and the prior precision are built once per chain.  In selection mode
+    row j has L = c_j S_xx with c_j = n Omega[j, j]; its precision is
+    written into one Fortran-ordered buffer and factored in place, and
+    L b_j = c_j (B S_xx)[j] comes from one product before the loop, since
+    row j is unchanged until its turn.  delta' S_xx serves both the
+    increment and the rank-one gradient update n Omega[:, j] (delta' S_xx).
     Returns (drawn, drawn): every draw is accepted.
     """
     params, latent = state.params, state.latent
     n = stats.dims.n
     prec = state.omega
-    selection = hyper.instrument_mode == SELECTION
-    if selection:
-        p, k = latent.phi.shape
-        blocks = [((j, slice(None)), n * prec[j, j] * stats.s_xx) for j in range(p) if k]
-        prior_var = np.where(latent.phi == 1, latent.eta, hyper.nu2 * latent.eta)
-    else:
-        rows, cols = np.nonzero(latent.phi == 1)
-        lik_prec = n * prec[rows[:, None], rows] * stats.s_xx[cols[:, None], cols]
-        blocks = [((rows, cols), lik_prec)] if rows.size else []
-        prior_var = np.full(params.b.shape, hyper.b_prior_sd**2)
+    s_xx = stats.s_xx
     b_mat = params.b
     r_x, _ = residual_moments(params, stats, slice(params.p, params.p + stats.dims.k))
     grad = n * prec @ r_x
-    drawn = 0
-    for index, lik_prec in blocks:
-        old, g = b_mat[index], grad[index]
-        normals = rng.standard_normal(old.size)
-        new = _draw_gaussian(lik_prec + np.diag(1.0 / prior_var[index]), g + lik_prec @ old, normals, "B block")
-        delta = new - old
-        b_mat[index] = new
-        state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
-        # n Omega (B S_xx) grows by n Omega[:, r] diag(delta) S_xx[c, :]: for row block j,
-        # the rank-one n Omega[:, j] (delta' S_xx).
-        if selection:
-            _add_outer(grad, -n, prec[:, index[0]], delta @ stats.s_xx)
-        else:
-            grad -= n * (prec[:, index[0]] * delta) @ stats.s_xx[index[1], :]
-        drawn += delta.size
-    return drawn, drawn
+    if hyper.instrument_mode != SELECTION:
+        return _update_b_support(state, stats, hyper, rng, grad)
+    p, k = b_mat.shape
+    if not k:
+        return 0, 0
+    prior_prec = 1.0 / np.where(latent.phi == 1, latent.eta, hyper.nu2 * latent.eta)
+    b_sxx = b_mat @ s_xx
+    row_prec = np.empty((k, k), order="F")
+    diagonal = row_prec.ravel(order="F")[:: k + 1]  # a view
+    log_lik = state.log_lik
+    for j in range(p):
+        c_j = n * float(prec[j, j])
+        np.multiply(s_xx, c_j, out=row_prec)
+        diagonal += prior_prec[j]
+        g = grad[j]
+        normals = rng.standard_normal(k)
+        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals, "B row", overwrite=True)
+        delta = new - b_mat[j]
+        b_mat[j] = new
+        delta_sxx = delta @ s_xx
+        log_lik += float(delta @ g) - 0.5 * c_j * float(delta_sxx @ delta)
+        _add_outer(grad, -n, prec[:, j], delta_sxx)
+    state.log_lik = log_lik
+    return p * k, p * k
+
+
+def _update_b_support(state, stats, hyper, rng, grad):
+    """Step 4 in fixed-map mode: one exact Gibbs draw of B on its fixed support."""
+    support = state.per_chain(
+        "b_support", stats, (hyper.b_prior_sd, state.latent.phi.tobytes()),
+        lambda: _b_support(state.latent.phi, stats.s_xx, hyper.b_prior_sd),
+    )
+    if support is None:
+        return 0, 0
+    rows, cols, sxx_block, prior_prec = support
+    n = stats.dims.n
+    prec = state.omega
+    b_mat = state.params.b
+    lik_prec = n * prec[rows[:, None], rows] * sxx_block
+    old, g = b_mat[rows, cols], grad[rows, cols]
+    normals = rng.standard_normal(old.size)
+    new = _draw_gaussian(lik_prec + prior_prec, g + lik_prec @ old, normals, "B block")
+    delta = new - old
+    b_mat[rows, cols] = new
+    state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
+    return delta.size, delta.size
+
+
+def _b_support(phi, s_xx, b_prior_sd):
+    """The fixed-map support of B with its gathered S_xx block and prior precision, or None if empty."""
+    rows, cols = np.nonzero(phi == 1)
+    if not rows.size:
+        return None
+    return rows, cols, s_xx[cols[:, None], cols], np.eye(rows.size) / b_prior_sd**2
 
 
 def update_rho(state: ChainState, hyper: Hyperparameters, rng):
@@ -373,14 +439,21 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     curvature without the log-det term, with v its spike or slab prior
     variance.  It does not depend on A, so the walk stays symmetric.
 
+    Every entry is proposed once per sweep, so when its turn comes it still
+    holds its value from the start of the sweep.  One vectorized pass
+    therefore gives every entry its step delta, its prior term
+    -delta (2a + delta)/(2v) and the -(n/2) delta^2 Omega[j, j] S_yy[h, h]
+    part of its quadratic change.
+
     Moving A[j, h] by delta multiplies det(I - A) by 1 - delta F[h, j], with
     F = (I - A)^{-1}, and shifts row j of the quadratic gradient
     Omega R_y (model.residual_moments) by -delta Omega[j, j] S_yy[h, :].  The
     proposals of row j read only column j of F, which each accepted move
-    divides by its determinant ratio, and row j of the gradient, so both
-    are held as Python floats while the row is proposed.  After the row, one
-    Sherman-Morrison update carries its whole change Delta into F, and one
-    rank-one update, -Omega[:, j] (Delta' S_yy), into the gradient.
+    divides by its determinant ratio, and the entries of row j of the
+    gradient still to be proposed, so both are held as Python floats while
+    the row is proposed.  After the row, one Sherman-Morrison update carries
+    its whole change Delta into F, and one rank-one update,
+    -Omega[:, j] (Delta' S_yy), into the gradient.
     Proposals that would make (I - A) singular are rejected.
     """
     params, latent = state.params, state.latent
@@ -389,74 +462,96 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     a_mat = params.a
     prec = state.omega
     lu, piv, _ = dgetrf(np.eye(p) - a_mat)
-    f_inv, _ = dgetrs(lu, piv, np.eye(p))
+    f_inv, _ = dgetri(lu, piv)
     r_y, _ = residual_moments(params, stats, slice(0, p))
     grad = prec @ r_y
     s_yy = stats.s_yy
-    syy_rows = s_yy.tolist()
-    var = np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau)
-    prior_var = var.tolist()
-    sds = (2.38 / np.sqrt(n * np.outer(np.diag(prec), np.diag(s_yy)) + 1.0 / var)).tolist()
+    inv_var = 1.0 / np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau)
+    prec_diag = np.diag(prec)
+    curvature = n * np.outer(prec_diag, np.diag(s_yy))
     proposed = p * (p - 1)
-    normals = rng.standard_normal(proposed).tolist()
-    uniforms = rng.random(proposed).tolist()
+    # Laid out as A, so the off-diagonal entries are filled in the order they are proposed.
+    off = _offdiag_mask(p)
+    delta = np.zeros((p, p))
+    delta[off] = rng.standard_normal(proposed)
+    delta *= 2.38 / np.sqrt(curvature + inv_var)
+    uniforms = np.empty((p, p))
+    uniforms[off] = rng.random(proposed)
+    half_delta = -0.5 * delta
+    quads = (curvature * delta * half_delta).tolist()
+    log_priors = ((half_delta - a_mat) * delta * inv_var).tolist()  # -delta (2a + delta) / (2v)
+    deltas, uniforms, syy_rows, prec_diag = delta.tolist(), uniforms.tolist(), s_yy.tolist(), prec_diag.tolist()
+    log, exp = math.log, math.exp
     log_lik = state.log_lik
     accepted = 0
-    i = 0
     for j in range(p):
-        a_row, f_col, g_row = a_mat[j].tolist(), f_inv[:, j].tolist(), grad[j].tolist()
-        v_row, sd_row = prior_var[j], sds[j]
-        row_before = a_row.copy()
-        prec_jj = float(prec[j, j])
-        scale = 1.0  # column j of F is f_col * scale
-        for h in range(p):
+        g_row = grad[j].tolist()
+        a_row = None  # row j of A as a list, once a move is accepted
+        prec_jj = prec_diag[j]
+        scale = 1.0  # column j of F is its value at the start of the row times scale
+        entries = zip(deltas[j], f_inv[:, j].tolist(), quads[j], log_priors[j], uniforms[j])
+        for h, (step, f, quad, log_prior, uniform) in enumerate(entries):
             if h == j:
                 continue
-            delta, uniform = normals[i] * sd_row[h], uniforms[i]
-            i += 1
-            cur = a_row[h]
-            new = cur + delta
-            denom = 1.0 - delta * f_col[h] * scale
+            denom = 1.0 - step * f * scale
             if abs(denom) < 1e-12:
                 continue
-            d_quad = delta * delta * prec_jj * syy_rows[h][h] - 2.0 * delta * g_row[h]
-            d_ll = n * math.log(abs(denom)) - 0.5 * n * d_quad
-            log_alpha = d_ll - (new * new - cur * cur) / (2.0 * v_row[h])
-            if log_alpha >= 0.0 or uniform < math.exp(log_alpha):
-                a_row[h] = new
+            d_ll = n * (log(abs(denom)) + step * g_row[h]) + quad
+            log_alpha = d_ll + log_prior
+            if log_alpha >= 0.0 or uniform < exp(log_alpha):
+                if a_row is None:
+                    a_row = a_mat[j].tolist()
+                a_row[h] += step
                 log_lik += d_ll
                 scale /= denom
-                shift = delta * prec_jj
-                g_row = [g - shift * s for g, s in zip(g_row, syy_rows[h])]
+                shift, syy_h = step * prec_jj, syy_rows[h]
+                for later in range(h + 1, p):
+                    g_row[later] -= shift * syy_h[later]
                 accepted += 1
-        if a_row != row_before:
+        if a_row is not None:
             change = np.array(a_row) - a_mat[j]
             a_mat[j] = a_row
-            f_change = change @ f_inv
-            _add_outer(f_inv, 1.0 / (1.0 - f_change[j]), f_inv[:, j].copy(), f_change)
-            _add_outer(grad, -1.0, prec[:, j], change @ s_yy)
+            if j + 1 < p:  # nothing reads F or the gradient after the last row
+                f_change = change @ f_inv
+                _add_outer(f_inv, 1.0 / (1.0 - f_change[j]), f_inv[:, j].copy(), f_change)
+                _add_outer(grad, -1.0, prec[:, j], change @ s_yy)
     state.log_lik = log_lik
     return accepted, proposed
 
 
 def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
-    """Step 9: exact matrix-normal Gibbs draw of the covariate effects (skipped when l = 0)."""
+    """Step 9: exact matrix-normal Gibbs draw of the covariate effects (skipped when l = 0).
+
+    The column covariance (n S_uu + I/tau_c)^-1 and its factor are built
+    once per chain, and the row factor is the carried Cholesky factor of
+    Sigma*.
+    """
     if stats.dims.l == 0:
         return
     params = state.params
     n = stats.dims.n
-    col_prec = n * stats.s_uu + np.eye(stats.dims.l) / hyper.tau_c
-    chol = _chol_lower(col_prec)
-    if chol is None:
-        raise NumericalError("covariate-effect column precision is not positive definite")
-    col_cov = _chol_inverse(chol)
+    col_cov, col_chol = state.per_chain(
+        "c_column", stats, (hyper.tau_c,), lambda: _c_column(stats, hyper.tau_c)
+    )
     r_u, _ = residual_moments(params, stats, slice(params.p + stats.dims.k, None))
     mean = n * (r_u + params.c @ stats.s_uu) @ col_cov
     c_old = params.c
-    params.c = sample_matrix_normal(MatrixNormalParams(mean, params.sigma_star, col_cov), rng)
+    params.c = draw_matrix_normal(mean, state.chol_sigma, col_chol, rng)
     delta = params.c - c_old
     # C + Delta moves Q = tr(Omega R Theta') by tr(Delta' Omega (Delta S_uu - 2 R_u)).
     state.log_lik -= 0.5 * n * float(np.sum((state.omega @ delta) * (delta @ stats.s_uu - 2.0 * r_u)))
+
+
+def _c_column(stats, tau_c):
+    """Step 9's column covariance (n S_uu + I/tau_c)^-1 and its lower Cholesky factor."""
+    chol = _chol_lower(stats.dims.n * stats.s_uu + np.eye(stats.dims.l) / tau_c)
+    if chol is None:
+        raise NumericalError("covariate-effect column precision is not positive definite")
+    col_cov = _chol_inverse(chol)
+    col_chol = _chol_lower(col_cov)
+    if col_chol is None:
+        raise NumericalError("covariate-effect column covariance is not positive definite")
+    return col_cov, col_chol
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):

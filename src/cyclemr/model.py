@@ -193,13 +193,14 @@ def _logabsdet(f):
     return float(np.log(pivots).sum())
 
 
-def _chol_lower(sigma):
+def _chol_lower(sigma, overwrite=False):
     """Lower Cholesky factor of a symmetric matrix, or None if not PD.
 
     LAPACK is called directly: scipy.linalg.cholesky runs the same routine,
     but at these sizes its argument handling costs more than the factorization.
+    With overwrite, a Fortran-ordered sigma is factored in place and returned.
     """
-    chol, info = dpotrf(sigma, lower=1, clean=1)
+    chol, info = dpotrf(sigma, lower=1, clean=1, overwrite_a=overwrite)
     return chol if info == 0 else None
 
 

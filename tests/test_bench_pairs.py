@@ -1,4 +1,4 @@
-"""summarize in scripts/bench_pairs.py: who wins a pair, in which direction, and the fits per run."""
+"""summarize in scripts/bench_pairs.py: who wins a pair, in which direction, the verdict and the fits per run."""
 
 import json
 import sys
@@ -17,9 +17,13 @@ def run(fits, **values):
     return {"attempted": fits, "failed": 0, "correct": True, "metrics": metrics}
 
 
+def rules():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return bench_pairs.metric_directions(bench), bench_pairs.metric_bounds(bench)
+
+
 @pytest.fixture(scope="module")
 def summary():
-    directions = bench_pairs.metric_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     pairs = [
         # change faster, equal RSS, higher ESS/s
         {"parent": run(8, fit_s=4.0, peak_rss_mb=200.0, **{"ess.min_per_s": 0.1}),
@@ -33,7 +37,7 @@ def summary():
         # a pair whose second run never finished is left out
         {"parent": run(1, fit_s=0.1, peak_rss_mb=1.0, **{"ess.min_per_s": 9.0})},
     ]
-    return bench_pairs.summarize({"w": pairs}, directions)["w"]
+    return bench_pairs.summarize({"w": pairs}, *rules())["w"]
 
 
 def test_a_tie_counts_for_neither_side(summary):
@@ -55,6 +59,44 @@ def test_the_fits_per_run_are_reported(summary):
     assert fits["parent"] == {"median": 8, "q1": 8.0, "q3": 8.5}
     assert fits["change"] == {"median": 9, "q1": 9.0, "q3": 9.5}
     assert summary["metrics"]["fit_s"]["parent"] == {"median": 4.0, "q1": 3.75, "q3": 4.0}
+
+
+def fit_s_pairs(parent, change):
+    return {"w": [{"parent": run(5, fit_s=p), "change": run(5, fit_s=c)} for p, c in zip(parent, change)]}
+
+
+PARENT_FIT_S = [2.5, 3.5, 2.5, 3.5, 3.0, 3.0, 2.5, 3.5, 3.0, 3.0]  # median 3.0, quartiles 2.625 and 3.375
+
+
+@pytest.mark.parametrize(
+    "change, claim_met",
+    [
+        # 9 of 10 won and a median gap of 1.0 s against a parent spread of 0.75 s
+        ([2.0] * 9 + [9.0], True),
+        # 8 of 10 won: too few pairs
+        ([2.0] * 8 + [9.0, 9.0], False),
+        # 10 of 10 won, but the medians differ by 0.1 s, less than the parent's spread
+        ([x - 0.1 for x in PARENT_FIT_S], False),
+        # 9 of 10 won with a tie for the tenth, which counts for neither side
+        ([2.0] * 9 + [3.0], True),
+    ],
+    ids=["met", "too-few-wins", "inside-spread", "tie"],
+)
+def test_claim_met_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread(change, claim_met):
+    row = bench_pairs.summarize(fit_s_pairs(PARENT_FIT_S, change), *rules())["w"]["metrics"]["fit_s"]
+    assert row["parent_quartile_spread"] == pytest.approx(0.75)
+    assert row["verdict"]["claim_met"] is claim_met
+
+
+@pytest.mark.parametrize("change, within", [(3.74, True), (3.76, False)])
+def test_within_bound_reads_the_relative_bound_from_benchmark_json(change, within):
+    # fit_s may worsen by 25%: 3.0 s may become 3.75 s.
+    row = bench_pairs.summarize(fit_s_pairs([3.0] * 3, [change] * 3), *rules())["w"]["metrics"]["fit_s"]
+    assert row["verdict"] == {"claim_met": False, "within_bound": within}
+
+
+def test_a_metric_without_a_bound_has_no_within_bound(summary):
+    assert summary["metrics"]["ess.min_per_s"]["verdict"]["within_bound"] is None
 
 
 def test_traced_pairs_alternate_like_the_untraced_ones(tmp_path, monkeypatch):

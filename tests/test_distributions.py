@@ -180,6 +180,10 @@ class TestInverseGamma:
         with pytest.raises(ValueError):
             sample_inverse_gamma(0.0, 1.0, np.random.default_rng(0))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            sample_inverse_gamma(1.0, np.array([1.0, np.nan]), np.random.default_rng(0))
+
 
 class TestBetaBernoulli:
     def test_uniform_beta(self):
@@ -199,6 +203,14 @@ class TestBetaBernoulli:
         rng = np.random.default_rng(14)
         assert not np.any(sample_bernoulli(np.zeros(1000), rng))
         assert np.all(sample_bernoulli(np.ones(1000), rng))
+
+    def test_beta_nan_rejected(self):
+        with pytest.raises(ValueError):
+            sample_beta(np.nan, 1.0, np.random.default_rng(0))
+
+    def test_bernoulli_nan_rejected(self):
+        with pytest.raises(ValueError):
+            sample_bernoulli(np.array([0.5, np.nan]), np.random.default_rng(0))
 
     def test_bernoulli_clamps_tiny_overshoot(self):
         rng = np.random.default_rng(15)
