@@ -120,22 +120,24 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_fit_config(args):
-    doc = read_json(args.config) if args.config else {}
+def _fit_config(doc, method, support):
+    """(config, sample_format) of a config document, validated after method's mode and the map support are set."""
     config, sample_format = config_from_dict(doc)
-    if args.mode:
-        config.hyper.instrument_mode = INSTRUMENT_MODES[args.mode]
-    if args.b_support:
-        config.fixed_b_support = read_matrix(args.b_support).astype(int)
+    if method:
+        config.hyper.instrument_mode = INSTRUMENT_MODES[method]
+    if support is not None:
+        config.fixed_b_support = support
     if config.hyper.instrument_mode == FIXED_MAP and config.fixed_b_support is None:
         raise ValueError("fixed-map mode requires --b-support (or a selection-mode config)")
-    return config, sample_format
+    return config.validate(), sample_format
 
 
 def cmd_fit(args):
     started = time.monotonic()
     stats = stats_from_dict(read_json(args.stats))
-    config, sample_format = _load_fit_config(args)
+    doc = read_json(args.config) if args.config else {}
+    support = read_matrix(args.b_support) if args.b_support else None
+    config, sample_format = _fit_config(doc, args.mode, support)
     ws = _Workspace(args.out).prepare()
     try:
         chain = run_chain(stats, config)
@@ -258,10 +260,9 @@ def _replicate_metrics(task):
     for method in methods:
         started = time.monotonic()
         if method in MODEL_METHODS:
-            config, _ = config_from_dict(config_doc)
+            support = truth.b_support if INSTRUMENT_MODES[method] == FIXED_MAP else None
+            config, _ = _fit_config(config_doc, method, support)
             config.seed = fit_seed
-            config.hyper.instrument_mode = INSTRUMENT_MODES[method]
-            config.fixed_b_support = truth.b_support if config.hyper.instrument_mode == FIXED_MAP else None
             chain = run_chain(stats, config)
             fit = summarize(chain, *thresholds)
             out[method] = evaluate_fit(fit, truth).to_dict()

@@ -3,7 +3,8 @@
 Matrices use a one-line header `# rows=R cols=C name=NAME` followed by
 comma-separated rows at round-trip precision, so fixtures stay diff-able
 and language-neutral.  Nested structures (stats, configs, summaries,
-reports) are JSON.
+reports) are JSON.  A stats document holds the counts n, p, k, l and each
+block of model.MOMENT_BLOCKS as nested lists of exactly its shape.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .mcmc import Hyperparameters, McmcConfig
-from .model import Dimensions, DimensionMismatchError, SummaryStatistics
+from .model import MOMENT_BLOCKS, Dimensions, DimensionMismatchError, SummaryStatistics, moment_shapes
 from .summary import FitSummary
 
 SAMPLE_FORMATS = ("npz", "csv", "none")
@@ -70,18 +71,9 @@ def read_json(path):
 
 def stats_to_dict(stats: SummaryStatistics):
     dims = stats.dims
-    return {
-        "n": dims.n,
-        "p": dims.p,
-        "k": dims.k,
-        "l": dims.l,
-        "s_yy": stats.s_yy.tolist(),
-        "s_yx": stats.s_yx.tolist(),
-        "s_yu": stats.s_yu.tolist(),
-        "s_xx": stats.s_xx.tolist(),
-        "s_xu": stats.s_xu.tolist(),
-        "s_uu": stats.s_uu.tolist(),
-    }
+    doc = {"n": dims.n, "p": dims.p, "k": dims.k, "l": dims.l}
+    doc.update({name: getattr(stats, name).tolist() for name in MOMENT_BLOCKS})
+    return doc
 
 
 def _stats_count(key, value):
@@ -93,10 +85,28 @@ def _stats_count(key, value):
     return value
 
 
+def _is_numbers(value):
+    """Whether value is a number other than a bool, or a list of such values nested to any depth."""
+    if isinstance(value, list):
+        return all(_is_numbers(item) for item in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _moment_block(name, value, shape):
+    """A stats block, nested lists of numbers or [] with no entries, as an array; SummaryStatistics checks its shape."""
+    if not _is_numbers(value):
+        raise ValueError(f"stats {name} must be nested lists of numbers")
+    try:
+        block = np.array(value, dtype=float)
+    except ValueError:  # lists of unequal lengths
+        raise DimensionMismatchError(f"{name} is not a matrix, expected shape {shape}") from None
+    return block.reshape(shape) if value == [] and 0 in shape else block
+
+
 def stats_from_dict(doc) -> SummaryStatistics:
     if not isinstance(doc, dict):
         raise ValueError("stats document must be a JSON object")
-    expected = {"n", "p", "k", "l", "s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"}
+    expected = {"n", "p", "k", "l", *MOMENT_BLOCKS}
     unknown = set(doc) - expected
     if unknown:
         raise ValueError(f"unknown keys in stats document: {sorted(unknown)}")
@@ -104,20 +114,8 @@ def stats_from_dict(doc) -> SummaryStatistics:
     if missing:
         raise ValueError(f"missing keys in stats document: {sorted(missing)}")
     dims = Dimensions(**{key: _stats_count(key, doc[key]) for key in ("p", "k", "l", "n")})
-
-    def block(key, shape):
-        arr = np.asarray(doc[key], dtype=float).reshape(shape)
-        return arr
-
-    return SummaryStatistics(
-        s_yy=block("s_yy", (dims.p, dims.p)),
-        s_yx=block("s_yx", (dims.p, dims.k)),
-        s_yu=block("s_yu", (dims.p, dims.l)),
-        s_xx=block("s_xx", (dims.k, dims.k)),
-        s_xu=block("s_xu", (dims.k, dims.l)),
-        s_uu=block("s_uu", (dims.l, dims.l)),
-        dims=dims,
-    ).validate()
+    blocks = {name: _moment_block(name, doc[name], shape) for name, shape in moment_shapes(dims).items()}
+    return SummaryStatistics(**blocks, dims=dims).validate()
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McmcConfig)}
@@ -154,11 +152,6 @@ def config_from_dict(doc):
         raise ValueError(f"unknown keys in config hyper block: {sorted(unknown_hyper)}")
     kwargs = {name: _config_value(name, value) for name, value in doc.items() if name in _CONFIG_FIELDS}
     kwargs["hyper"] = Hyperparameters(**{name: value for name, value in hyper_doc.items() if name in _HYPER_KEYS})
-    if kwargs.get("fixed_b_support") is not None:
-        support = np.asarray(kwargs["fixed_b_support"], dtype=float)
-        if not np.isin(support, (0.0, 1.0)).all():
-            raise ValueError("fixed_b_support must be a matrix of zeros and ones")
-        kwargs["fixed_b_support"] = support.astype(int)
     config = McmcConfig(**kwargs).validate()
     sample_format = doc.get("sample_format", "npz")
     if sample_format not in SAMPLE_FORMATS:

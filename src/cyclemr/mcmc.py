@@ -204,6 +204,7 @@ class McmcConfig:
     fixed_b_support: np.ndarray | None = None
 
     def validate(self):
+        """Check every field and store the 0/1 instrument map as ints; initial_state checks the map's shape."""
         for name in ("iterations", "burn_in", "thin", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -212,6 +213,11 @@ class McmcConfig:
             raise ValueError("iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
+        if self.fixed_b_support is not None:
+            support = np.asarray(self.fixed_b_support)
+            if support.ndim != 2 or support.dtype.kind not in "biuf" or not np.isin(support, (0, 1)).all():
+                raise ValueError("fixed_b_support must be a matrix of zeros and ones")
+            self.fixed_b_support = support.astype(int)
         self.hyper.validate()
         return self
 
@@ -238,15 +244,15 @@ class Chain:
         return self.a.shape[0]
 
 
-def _draw_gaussian(prec, linear, normals, what, overwrite=False):
+def _draw_gaussian(prec, linear, normals, what):
     """Draw from N(prec^-1 linear, prec^-1), given the precision matrix prec and standard normals.
 
     With prec = L L', the draw is L'^-1 (L^-1 linear + normals): two
     triangular solves (Rue 2001, "Fast sampling of Gaussian Markov random
-    fields", JRSS B 63(2)).  With overwrite, a Fortran-ordered prec is
-    factored in place.
+    fields", JRSS B 63(2)).  Every caller passes a scratch prec: a
+    Fortran-ordered one is factored in place, any other in a copy.
     """
-    chol = _chol_lower(prec, overwrite=overwrite)
+    chol = _chol_lower(prec, overwrite=True)
     if chol is None:
         raise NumericalError(f"{what} precision is not positive definite")
     half, _ = dtrtrs(chol, linear, lower=1)
@@ -289,13 +295,17 @@ def update_psi(state: ChainState, hyper: Hyperparameters, rng):
     latent.psi = sample_beta(latent.phi + hyper.a_psi, 1 - latent.phi + hyper.b_psi, rng)
 
 
+def _half_cauchy_scales(scales, values, included, shrink, rng):
+    """Steps 2 and 6: new half-Cauchy slab scales of spike-and-slab effects, via auxiliary inverse gammas."""
+    eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / scales, rng)
+    rate = np.where(included == 1, values * values / 2.0, values * values / (2.0 * shrink)) + 1.0 / eps
+    return sample_inverse_gamma(1.0, np.maximum(rate, 1e-300), rng)
+
+
 def update_eta(state: ChainState, hyper: Hyperparameters, rng):
-    """Step 2: half-Cauchy hierarchy for the B slab scales via auxiliary inverse gammas."""
+    """Step 2: half-Cauchy hierarchy for the B slab scales."""
     latent = state.latent
-    b = state.params.b
-    eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / latent.eta, rng)
-    rate = np.where(latent.phi == 1, b * b / 2.0, b * b / (2.0 * hyper.nu2)) + 1.0 / eps
-    latent.eta = sample_inverse_gamma(1.0, np.maximum(rate, 1e-300), rng)
+    latent.eta = _half_cauchy_scales(latent.eta, state.params.b, latent.phi, hyper.nu2, rng)
 
 
 def _inclusion_probability(values, scales, shrink, weights):
@@ -364,7 +374,7 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         diagonal += prior_prec[j]
         g = grad[j]
         normals = rng.standard_normal(k)
-        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals, "B row", overwrite=True)
+        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals, "B row")
         delta = new - b_mat[j]
         b_mat[j] = new
         delta_sxx = delta @ s_xx
@@ -415,10 +425,7 @@ def update_tau(state: ChainState, hyper: Hyperparameters, rng):
     """Step 6: half-Cauchy hierarchy for the A slab scales."""
     latent = state.latent
     off = _offdiag_mask(latent.tau.shape[0])
-    a_off = state.params.a[off]
-    eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / latent.tau[off], rng)
-    rate = np.where(latent.gamma[off] == 1, a_off * a_off / 2.0, a_off * a_off / (2.0 * hyper.nu1))
-    latent.tau[off] = sample_inverse_gamma(1.0, np.maximum(rate + 1.0 / eps, 1e-300), rng)
+    latent.tau[off] = _half_cauchy_scales(latent.tau[off], state.params.a[off], latent.gamma[off], hyper.nu1, rng)
 
 
 def update_gamma(state: ChainState, hyper: Hyperparameters, rng):
@@ -555,13 +562,8 @@ def _c_column(stats, tau_c):
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):
-    """Step 10 slab probability for off-diagonal error-covariance entries."""
-    sig = np.asarray(sigma_values, dtype=float)
-    log_slab = math.log(hyper.pi_z) if hyper.pi_z > 0 else -np.inf
-    log_spike = math.log1p(-hyper.pi_z) if hyper.pi_z < 1 else -np.inf
-    l1 = log_slab - sig * sig / (2.0 * hyper.omega1**2) - math.log(hyper.omega1)
-    l0 = log_spike - sig * sig / (2.0 * hyper.omega2**2) - math.log(hyper.omega2)
-    return expit(l1 - l0)
+    """Step 10 slab probability for off-diagonal error-covariance entries: slab variance omega1^2, spike omega2^2."""
+    return _inclusion_probability(sigma_values, hyper.omega1**2, (hyper.omega2 / hyper.omega1) ** 2, hyper.pi_z)
 
 
 def update_z(state: ChainState, hyper: Hyperparameters, rng):

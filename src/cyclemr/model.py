@@ -6,6 +6,7 @@ form of the conditional log-likelihood are provided; they agree exactly
 whenever the summary statistics were computed from the raw data.
 The summary form reads the data only through R = Theta J (residual_moments),
 with Theta = [I - A, -B, -C] and J the joint second-moment matrix of (y, x, u).
+MOMENT_BLOCKS names the six blocks of J, and moment_shapes gives their shapes.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ class Dimensions:
             raise ValueError(f"instrument/covariate counts must be >= 0, got k={self.k}, l={self.l}")
 
 
+# The second-moment blocks in stats.json and joint-matrix order: s_ab holds
+# E[a b'] for a, b among the traits y, the instruments x and the covariates u.
+MOMENT_BLOCKS = ("s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu")
+
+
+def moment_shapes(dims):
+    """The shape of each block of MOMENT_BLOCKS, by name: s_ab has one row per a and one column per b."""
+    size = {"y": dims.p, "x": dims.k, "u": dims.l}
+    return {name: (size[name[2]], size[name[3]]) for name in MOMENT_BLOCKS}
+
+
 def _check_shape(name, arr, shape):
     if arr.shape != shape:
         raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -76,15 +88,10 @@ class SummaryStatistics:
     joint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, k, l = self.dims.p, self.dims.k, self.dims.l
-        for name in ("s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        _check_shape("s_yy", self.s_yy, (p, p))
-        _check_shape("s_yx", self.s_yx, (p, k))
-        _check_shape("s_yu", self.s_yu, (p, l))
-        _check_shape("s_xx", self.s_xx, (k, k))
-        _check_shape("s_xu", self.s_xu, (k, l))
-        _check_shape("s_uu", self.s_uu, (l, l))
+        for name, shape in moment_shapes(self.dims).items():
+            block = np.asarray(getattr(self, name), dtype=float)
+            _check_shape(name, block, shape)
+            object.__setattr__(self, name, block)
         joint = np.block([[self.s_yy, self.s_yx, self.s_yu], [self.s_yx.T, self.s_xx, self.s_xu],
                           [self.s_yu.T, self.s_xu.T, self.s_uu]])
         joint.setflags(write=False)
@@ -92,12 +99,11 @@ class SummaryStatistics:
 
     def validate(self, tol=1e-8):
         """Check that every entry is finite, the square blocks symmetric and the joint matrix PSD."""
-        for name in ("s_yy", "s_yx", "s_yu", "s_xx", "s_xu", "s_uu"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has a non-finite entry")
-        for name in ("s_yy", "s_xx", "s_uu"):
+        for name in MOMENT_BLOCKS:
             block = getattr(self, name)
-            if block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} has a non-finite entry")
+            if name[2] == name[3] and block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):
                 raise DimensionMismatchError(f"{name} is not symmetric")
         if self.joint.size:
             min_eig = float(np.linalg.eigvalsh(self.joint).min())
@@ -221,18 +227,9 @@ def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:
     No centering is applied; callers must center raw data beforehand.
     """
     dims = data.dims
-    n = dims.n
-    y, x, u = data.y, data.x, data.u
-    stats = SummaryStatistics(
-        s_yy=y.T @ y / n,
-        s_yx=y.T @ x / n,
-        s_yu=y.T @ u / n,
-        s_xx=x.T @ x / n,
-        s_xu=x.T @ u / n,
-        s_uu=u.T @ u / n,
-        dims=dims,
-    )
-    return stats.validate()
+    columns = {"y": data.y, "x": data.x, "u": data.u}
+    blocks = {name: columns[name[2]].T @ columns[name[3]] / dims.n for name in MOMENT_BLOCKS}
+    return SummaryStatistics(**blocks, dims=dims).validate()
 
 
 def log_likelihood_raw(params: ModelParameters, data: RawDataSet) -> float:

@@ -145,11 +145,12 @@ class TestFitCommand:
             '"thin": 1.5',
             '"seed": 0.5',
             '"fixed_b_support": [[1, null, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]',
+            '"fixed_b_support": {"a": 1}',
         ],
         ids=[
             "lam-nan", "omega1-nan", "b_prior_sd-infinity", "nu1-string", "tau_c-bool", "hyper-not-object",
             "seed-string", "iterations-fractional", "burn_in-string", "thin-fractional",
-            "seed-fractional", "fixed_b_support-null",
+            "seed-fractional", "fixed_b_support-null", "fixed_b_support-object",
         ],
     )
     def test_malformed_config_exits_3(self, tmp_path, capsys, overrides):
@@ -178,6 +179,25 @@ class TestFitCommand:
         assert "adapt_proposals" not in snapshot
         assert not {"xi_a", "xi_b"} & set(snapshot["hyper"])
         assert "xi_a" not in read_json(fit_dir / "diagnostics.json")
+
+    @pytest.mark.parametrize("value", ["2", "0.5", "nan", "-1"])
+    def test_b_support_entry_not_0_or_1_exits_3(self, tmp_path, capsys, value):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "III", "--p", 3, "--n", 200, "--seed", 2, "--out", sim)
+        support = read_matrix(sim / "B_support.csv").astype(object)
+        row, col = np.argwhere(support == 0)[0]  # a column outside the trait's instruments
+        support[row, col] = value
+        path = tmp_path / "B_support.csv"
+        path.write_text("\n".join([f"# rows={support.shape[0]} cols={support.shape[1]} name=B_support",
+                                   *(",".join(str(v) for v in line) for line in support)]) + "\n")
+        out = tmp_path / "f"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", small_config(tmp_path), "--out", out,
+                       "--b-support", path, "--mode", "rgm")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "ValueError"
+        assert "fixed_b_support" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("header_rows, body_rows", [(2, 3), (0, 2)], ids=["extra-row", "rows-0-with-body"])
     def test_b_support_row_count_mismatch_exits_3(self, tmp_path, capsys, header_rows, body_rows):
@@ -208,26 +228,29 @@ class TestFitCommand:
         assert read_json(fit_dir / "diagnostics.json")["n_samples"] == 20
 
     @pytest.mark.parametrize(
-        "key, value, code",
+        "key, value, code, error",
         [
-            ("n", "500", 3),
-            ("p", 3.0, 0),
-            ("n", 500.5, 3),
-            ("n", True, 3),
-            ("n", float("nan"), 3),
-            ("n", float("inf"), 3),
-            ("s_yy", float("inf"), 3),
+            ("n", "500", 3, "ValueError"),
+            ("p", 3.0, 0, None),
+            ("n", 500.5, 3, "ValueError"),
+            ("n", True, 3, "ValueError"),
+            ("n", float("nan"), 3, "ValueError"),
+            ("n", float("inf"), 3, "ValueError"),
+            ("s_yy", lambda block: [[float("inf"), *block[0][1:]], *block[1:]], 3, "ValueError"),
+            ("s_yx", lambda block: np.transpose(block).tolist(), 3, "DimensionMismatchError"),
+            ("s_yy", lambda block: np.ravel(block).tolist(), 3, "DimensionMismatchError"),
+            ("s_yy", {"a": 1}, 3, "ValueError"),
         ],
-        ids=["n-string", "p-integral-float", "n-fractional", "n-bool", "n-nan", "n-infinity", "s_yy-infinity"],
+        ids=[
+            "n-string", "p-integral-float", "n-fractional", "n-bool", "n-nan", "n-infinity", "s_yy-infinity",
+            "s_yx-transposed", "s_yy-flat", "s_yy-object",
+        ],
     )
-    def test_malformed_stats_exits_3(self, tmp_path, capsys, key, value, code):
+    def test_malformed_stats_exits_3(self, tmp_path, capsys, key, value, code, error):
         sim = tmp_path / "sim"
         run_cli("simulate", "--case", "I", "--p", 3, "--n", 500, "--seed", 2, "--out", sim)
         doc = read_json(sim / "stats.json")
-        if key == "s_yy":
-            doc["s_yy"][0][0] = value
-        else:
-            doc[key] = value
+        doc[key] = value(doc[key]) if callable(value) else value
         stats_path = tmp_path / "stats.json"
         stats_path.write_text(json.dumps(doc))  # NaN and Infinity as json.loads reads them
         out = tmp_path / "f"
@@ -235,7 +258,7 @@ class TestFitCommand:
                        "--mode", "rgm-plus") == code
         if code == 3:
             err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "data_error" and err["type"] == "ValueError"
+            assert err["error"] == "data_error" and err["type"] == error
             assert not out.exists()
 
     def test_missing_stats_file(self, tmp_path, capsys):
