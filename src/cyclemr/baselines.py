@@ -19,6 +19,7 @@ from .model import RawDataSet, SummaryStatistics, compute_sufficient_stats
 WEAK_DENOMINATOR = 1e-12
 WEAK_F_THRESHOLD = 10.0
 MEDIAN_BOOTSTRAP = 200
+BASELINE_METHODS = ("ratio", "ivw", "median", "wmedian", "tsls")
 
 
 @dataclass
@@ -201,6 +202,8 @@ def baseline_effects(source, method, instrument_map, seed=0) -> BaselineResult:
     reports the unweighted mean of per-instrument ratios.  Pairs with no
     usable instrument get effect 0, score 0, p-value 1.
     """
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline method {method!r}")
     if method == "tsls":
         if not isinstance(source, RawDataSet):
             raise ValueError("tsls needs individual-level data")
@@ -240,14 +243,12 @@ def baseline_effects(source, method, instrument_map, seed=0) -> BaselineResult:
                 elif method == "median":
                     est = simple_median(ratios)
                     se = _median_bootstrap_se(ratios, ses, simple_median, rng)
-                elif method == "wmedian":
+                else:  # wmedian
                     weights = 1.0 / ses**2
                     est = weighted_median(ratios, weights)
                     se = _median_bootstrap_se(
                         ratios, ses, lambda r: weighted_median(r, weights), rng
                     )
-                else:
-                    raise ValueError(f"unknown baseline method {method!r}")
             effect[j, h] = est
             score[j, h] = abs(est) / se
             pvalue[j, h] = 2.0 * float(norm.sf(score[j, h]))

@@ -4,9 +4,9 @@ Every command is deterministic given its seed and inputs.  Per-replicate
 seeds derive from the master seed through numpy's SeedSequence with the
 replicate index as spawn key, so results do not depend on --jobs.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-Failures emit a machine-readable JSON object on stderr and remove any
-partially written outputs.
+Exit codes: 0 success, 2 usage error, 3 data or file-system error, 4
+numerical failure.  Failures emit a machine-readable JSON object on stderr
+and remove what the command wrote (see _Workspace).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import baseline_effects, reassign_pleiotropic, total_effect_matrix
+from .baselines import BASELINE_METHODS, baseline_effects, reassign_pleiotropic, total_effect_matrix
 from .io import (
     config_from_dict,
     config_to_dict,
@@ -40,7 +40,7 @@ from .io import (
 )
 from .mcmc import FIXED_MAP, SAMPLED, SELECTION, run_chain
 from .metrics import DeviationMetrics, _target_metrics, deviation_metrics, evaluate_fit
-from .model import DimensionMismatchError, RawDataSet, compute_sufficient_stats
+from .model import RawDataSet, compute_sufficient_stats, indicator_matrix
 from .simulate import CaseSpec, gen_data, gen_truth
 from .summary import summarize
 
@@ -51,7 +51,6 @@ EXIT_NUMERIC = 4
 
 INSTRUMENT_MODES = {"rgm": FIXED_MAP, "rgm-plus": SELECTION}
 MODEL_METHODS = tuple(INSTRUMENT_MODES)
-BASELINE_METHODS = ("ratio", "ivw", "median", "wmedian", "tsls")
 SIGNIFICANCE = 0.05
 
 
@@ -62,14 +61,20 @@ def derive_seeds(master_seed, index, count):
 
 
 class _Workspace:
-    """Tracks outputs so a failed command can remove partial results."""
+    """One command's output transaction: entering creates the directory; if the block raises, exiting
+    removes the directory and any parents the command created, or else the files named by path() and,
+    once any was named, manifest.json, so no manifest names a removed file.  Report commands write no
+    manifest (manifest=False) and leave the directory's own alone.
+    """
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, manifest=True):
         self.out_dir = Path(out_dir)
-        self.fresh = not self.out_dir.exists()
+        self.manifest = manifest
         self.files = []
 
-    def prepare(self):
+    def __enter__(self):
+        missing = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+        self.created = missing[-1] if missing else None
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self
 
@@ -78,18 +83,21 @@ class _Workspace:
         self.files.append(target)
         return target
 
-    def cleanup(self):
-        if self.fresh:
-            shutil.rmtree(self.out_dir, ignore_errors=True)
-        else:
-            for target in self.files:
-                Path(target).unlink(missing_ok=True)
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            return
+        if self.created is not None:
+            shutil.rmtree(self.created, ignore_errors=True)
+            return
+        if self.files and self.manifest:
+            self.files.append(self.out_dir / "manifest.json")
+        for target in self.files:
+            target.unlink(missing_ok=True)
 
 
 def cmd_simulate(args):
     started = time.monotonic()
-    ws = _Workspace(args.out).prepare()
-    try:
+    with _Workspace(args.out) as ws:
         truth_seed, data_seed = derive_seeds(args.seed, 0, 2)
         spec = CaseSpec(case=args.case, p=args.p, n=args.n, t=args.t, seed=truth_seed)
         truth = gen_truth(spec)
@@ -114,9 +122,6 @@ def cmd_simulate(args):
         write_manifest(
             ws.out_dir, "simulate", snapshot, args.seed, time.monotonic() - started, [], ws.files
         )
-    except BaseException:
-        ws.cleanup()
-        raise
     return EXIT_OK
 
 
@@ -138,8 +143,7 @@ def cmd_fit(args):
     doc = read_json(args.config) if args.config else {}
     support = read_matrix(args.b_support) if args.b_support else None
     config, sample_format = _fit_config(doc, args.mode, support)
-    ws = _Workspace(args.out).prepare()
-    try:
+    with _Workspace(args.out) as ws:
         chain = run_chain(stats, config)
         fit = summarize(
             chain,
@@ -177,31 +181,29 @@ def cmd_fit(args):
             inputs,
             ws.files,
         )
-    except BaseException:
-        ws.cleanup()
-        raise
     return EXIT_OK
+
+
+def _read_indicator(path):
+    """A 0/1 matrix file as ints; any other entry is a data error that names the file."""
+    return indicator_matrix(read_matrix(path), str(path))
 
 
 def _read_truth(truth_dir):
     truth_dir = Path(truth_dir)
     return types.SimpleNamespace(
         a_true=read_matrix(truth_dir / "A_true.csv"),
-        b_support=read_matrix(truth_dir / "B_support.csv").astype(int),
-        graph_truth=read_matrix(truth_dir / "graph_truth.csv").astype(int),
-        confounding_truth=read_matrix(truth_dir / "confounding_truth.csv").astype(int),
+        b_support=_read_indicator(truth_dir / "B_support.csv"),
+        graph_truth=_read_indicator(truth_dir / "graph_truth.csv"),
+        confounding_truth=_read_indicator(truth_dir / "confounding_truth.csv"),
     )
 
 
 def _write_report(path, payload):
-    """Write a single-file JSON report, removing it if the write fails."""
+    """Write a single-file JSON report through a workspace on its directory."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(path, payload)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with _Workspace(path.parent, manifest=False) as ws:
+        write_json(ws.path(path.name), payload)
 
 
 def cmd_evaluate(args):
@@ -224,7 +226,7 @@ def _baseline_metrics(result, truth):
 def cmd_baseline(args):
     data_dir = Path(args.data)
     stats = stats_from_dict(read_json(data_dir / "stats.json"))
-    support = read_matrix(data_dir / "B_support.csv").astype(int)
+    support = _read_indicator(data_dir / "B_support.csv")
     reassign_seed, estimate_seed = derive_seeds(args.seed, 0, 2)
     rng = np.random.Generator(np.random.PCG64(reassign_seed))
     instrument_map = reassign_pleiotropic(support, rng)
@@ -298,8 +300,7 @@ def cmd_benchmark(args):
             results = list(pool.map(_replicate_metrics, tasks))
     results.sort(key=lambda item: item[0])
 
-    ws = _Workspace(args.out).prepare()
-    try:
+    with _Workspace(args.out) as ws:
         seed_lines = ["replicate,truth_seed,data_seed,fit_seed,baseline_seed"]
         for index, seeds, _ in results:
             seed_lines.append(
@@ -349,9 +350,6 @@ def cmd_benchmark(args):
         write_manifest(
             ws.out_dir, "benchmark", snapshot, args.seed, time.monotonic() - started, inputs, ws.files
         )
-    except BaseException:
-        ws.cleanup()
-        raise
     return EXIT_OK
 
 
@@ -422,7 +420,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, DimensionMismatchError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         _emit_error("data_error", exc)
         return EXIT_DATA
     except ArithmeticError as exc:

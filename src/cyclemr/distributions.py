@@ -18,9 +18,9 @@ from .model import NotPositiveDefiniteError, _chol_lower
 class GigParams:
     """Generalized inverse Gaussian with density f(x) ~ x^(p_order-1) exp(-(a*x + b/x)/2).
 
-    Valid when both a and b are positive (any order), when b = 0 with a > 0
-    and p_order > 0 (gamma limit), or when a = 0 with b > 0 and p_order < 0
-    (inverse-gamma limit).
+    Valid for any finite order and finite positive rates a and b; NaN and
+    infinite parameters are rejected.  The gamma (b = 0) and inverse-gamma
+    (a = 0) limits are not part of the range.
     """
 
     p_order: float
@@ -28,12 +28,9 @@ class GigParams:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"GIG rates must be non-negative, got a={self.a}, b={self.b}")
-        if self.b == 0 and not (self.a > 0 and self.p_order > 0):
-            raise ValueError("GIG with b=0 requires a > 0 and p_order > 0")
-        if self.a == 0 and not (self.b > 0 and self.p_order < 0):
-            raise ValueError("GIG with a=0 requires b > 0 and p_order < 0")
+        # Written so that NaN fails too.
+        if not (math.isfinite(self.p_order) and 0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"GIG needs a finite order and finite positive rates, got {self}")
 
 
 def _gig_psi(x, alpha, lam):
@@ -48,17 +45,11 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     """One draw from the generalized inverse Gaussian distribution.
 
     Uses the uniformly fast rejection method of Devroye (2014) in the
-    two-parameter (lam, omega) standardization; valid over the whole
-    parameter range, including the very negative orders produced by the
+    two-parameter (lam, omega) standardization; valid over the whole range
+    of GigParams, including the very negative orders produced by the
     error-covariance update at large n.
     """
-    p, a, b = params.p_order, params.a, params.b
-    if b == 0.0:
-        return float(rng.gamma(p, 2.0 / a))
-    if a == 0.0:
-        return float(b / (2.0 * rng.gamma(-p, 1.0)))
-
-    lam = p
+    lam, a, b = params.p_order, params.a, params.b
     omega = math.sqrt(a * b)
     swap = lam < 0
     if swap:

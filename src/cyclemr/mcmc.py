@@ -51,6 +51,7 @@ from .model import (
     _chol_inverse,
     _chol_logdet,
     _chol_lower,
+    indicator_matrix,
     log_likelihood_summary,
     logabsdet_i_minus_a,
     residual_moments,
@@ -214,10 +215,7 @@ class McmcConfig:
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.fixed_b_support is not None:
-            support = np.asarray(self.fixed_b_support)
-            if support.ndim != 2 or support.dtype.kind not in "biuf" or not np.isin(support, (0, 1)).all():
-                raise ValueError("fixed_b_support must be a matrix of zeros and ones")
-            self.fixed_b_support = support.astype(int)
+            self.fixed_b_support = indicator_matrix(self.fixed_b_support, "fixed_b_support")
         self.hyper.validate()
         return self
 

@@ -65,6 +65,14 @@ def moment_shapes(dims):
     return {name: (size[name[2]], size[name[3]]) for name in MOMENT_BLOCKS}
 
 
+def indicator_matrix(value, name):
+    """value as an int matrix: it must be 2-D, of numbers or bools, with every entry 0 or 1."""
+    arr = np.asarray(value)
+    if arr.ndim != 2 or arr.dtype.kind not in "biuf" or not np.isin(arr, (0, 1)).all():
+        raise ValueError(f"{name} must be a matrix of zeros and ones")
+    return arr.astype(int)
+
+
 def _check_shape(name, arr, shape):
     if arr.shape != shape:
         raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")

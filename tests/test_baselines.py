@@ -235,3 +235,6 @@ class TestBaselineEffects:
         stats = bivariate_population_stats(0.0, 0.1, 1.0, 1.0, np.eye(2))
         with pytest.raises(ValueError, match="unknown baseline method"):
             baseline_effects(stats, "egger", np.eye(2, dtype=int))
+        # No pair has an instrument here, so the check must not wait for one.
+        with pytest.raises(ValueError, match="unknown baseline method"):
+            baseline_effects(stats, "egger", np.zeros((2, 2), dtype=int))

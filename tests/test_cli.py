@@ -1,10 +1,14 @@
+import errno
 import json
 import os
+import shutil
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclemr.cli
 from cyclemr.cli import main
 from cyclemr.io import read_json, read_matrix, stats_from_dict, stats_to_dict, write_json, write_matrix
 from cyclemr.model import Dimensions, RawDataSet, SummaryStatistics, compute_sufficient_stats
@@ -364,6 +368,106 @@ class TestBenchmarkCommand:
             "--jobs", 1, "--seed", 3, "--out", out, "--methods", "egger",
         )
         assert code == 3
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A Case I simulation, a short selection-mode config and a finished fit of it, shared read-only."""
+    root = tmp_path_factory.mktemp("finished")
+    sim, fit = root / "sim", root / "fit"
+    assert run_cli("simulate", "--case", "I", "--p", 3, "--n", 300, "--seed", 6, "--out", sim) == 0
+    cfg = small_config(root)
+    assert run_cli("fit", "--stats", sim / "stats.json", "--config", cfg, "--out", fit, "--mode", "rgm-plus") == 0
+    return types.SimpleNamespace(sim=sim, cfg=cfg, fit=fit)
+
+
+# command -> (the cli writer a failing write patches, argv writing into directory `out`).
+# evaluate and baseline write one report and no manifest.
+COMMANDS = {
+    "simulate": ("write_manifest", lambda d, out: ["simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 1,
+                                                   "--out", out]),
+    "fit": ("write_manifest", lambda d, out: ["fit", "--stats", d.sim / "stats.json", "--config", d.cfg,
+                                              "--out", out, "--mode", "rgm-plus"]),
+    "benchmark": ("write_manifest", lambda d, out: ["benchmark", "--case", "I", "--p", 2, "--n", 60,
+                                                    "--replicates", 1, "--seed", 3, "--methods", "ivw",
+                                                    "--out", out]),
+    "evaluate": ("write_json", lambda d, out: ["evaluate", "--fit", d.fit, "--truth", d.sim,
+                                               "--out", out / "report.json"]),
+    "baseline": ("write_json", lambda d, out: ["baseline", "--data", d.sim, "--method", "ivw",
+                                               "--out", out / "report.json"]),
+}
+
+
+class TestFailedCommandRemovesItsOutputs:
+    @staticmethod
+    def fail_write(monkeypatch, name):
+        def failing(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cyclemr.cli, name, failing)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_new_directory_is_removed(self, finished, tmp_path, monkeypatch, capsys, command):
+        patched, argv = COMMANDS[command]
+        self.fail_write(monkeypatch, patched)
+        assert run_cli(*argv(finished, tmp_path / "new" / "out")) == 3
+        assert json.loads(capsys.readouterr().err)["type"] == "OSError"
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_existing_directory_keeps_other_files(self, finished, tmp_path, monkeypatch, command):
+        # The directory is a finished fit's, so fit is re-run into its own outputs.
+        out = tmp_path / "fit"
+        shutil.copytree(finished.fit, out)
+        (out / "notes.txt").write_text("keep")
+        patched, argv = COMMANDS[command]
+        self.fail_write(monkeypatch, patched)
+        assert run_cli(*argv(finished, out)) == 3
+        assert (out / "notes.txt").read_text() == "keep"
+        assert not (out / "report.json").exists()
+        manifest = out / "manifest.json"
+        if manifest.exists():
+            assert all((out / name).exists() for name in read_json(manifest)["outputs"])
+        # A report command writes no manifest, so the fit's stays.
+        assert manifest.exists() == (patched == "write_json")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_is_an_existing_file_exits_3(self, finished, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert run_cli(*COMMANDS[command][1](finished, taken)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "FileExistsError"
+        assert taken.read_text() == "keep"
+
+
+class TestIndicatorFiles:
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan"), -1.0], ids=["0.5", "2", "nan", "-1"])
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("baseline", "B_support"),
+            ("evaluate", "B_support"),
+            ("evaluate", "graph_truth"),
+            ("evaluate", "confounding_truth"),
+        ],
+    )
+    def test_entry_not_0_or_1_exits_3(self, finished, tmp_path, capsys, command, name, value):
+        sim = tmp_path / "sim"
+        shutil.copytree(finished.sim, sim)
+        matrix = read_matrix(sim / f"{name}.csv")
+        matrix[0, 1] = value
+        write_matrix(sim / f"{name}.csv", matrix, name)
+        out = tmp_path / "report.json"
+        if command == "baseline":
+            code = run_cli("baseline", "--data", sim, "--method", "ivw", "--out", out)
+        else:
+            code = run_cli("evaluate", "--fit", finished.fit, "--truth", sim, "--out", out)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "ValueError"
+        assert f"{name}.csv" in err["message"]
         assert not out.exists()
 
 

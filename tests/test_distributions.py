@@ -49,13 +49,6 @@ def draw_gig(p_order, a, b, size, seed=0):
 
 
 class TestGig:
-    def test_gamma_limit(self):
-        draws = draw_gig(1.0, 2.0, 0.0, 100_000, seed=1)
-        # Gamma(1, rate 1): mean 1, var 1
-        se = 1.0 / math.sqrt(draws.size)
-        assert abs(draws.mean() - 1.0) < 3 * se
-        assert np.all(draws > 0)
-
     def test_inverse_gaussian_half_order(self):
         a, b = 3.0, 2.0
         draws = draw_gig(-0.5, a, b, 100_000, seed=2)
@@ -99,12 +92,14 @@ class TestGig:
         assert np.all(draws > 0)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GigParams(p_order=-1.0, a=2.0, b=0.0)
-        with pytest.raises(ValueError):
-            GigParams(p_order=1.0, a=0.0, b=2.0)
-        with pytest.raises(ValueError):
-            GigParams(p_order=1.0, a=-1.0, b=2.0)
+        # The gamma and inverse-gamma limits are outside the range; NaN and inf
+        # would make sample_gig loop for ever.
+        nan, inf = float("nan"), float("inf")
+        for p_order, a, b in [(-1.0, 2.0, 0.0), (1.0, 0.0, 2.0), (1.0, -1.0, 2.0), (1.0, nan, 2.0),
+                              (1.0, 2.0, nan), (nan, 2.0, 2.0), (1.0, inf, 2.0), (1.0, 2.0, inf),
+                              (inf, 2.0, 2.0), (-inf, 2.0, 2.0)]:
+            with pytest.raises(ValueError):
+                GigParams(p_order=p_order, a=a, b=b)
 
 
 class TestMatrixNormal:
