@@ -18,8 +18,9 @@ the same seeded commands under WORK/parent or WORK/change:
 Every command gets relative paths, so the manifests of the two sides name
 the same inputs.  Each output file is reported as identical or not.
 Manifests are compared after removing `duration_s` and the benchmark's
-runtimes and after replacing each side's work directory by `<work>`.
-For a file that differs, the largest relative difference
+runtimes and after replacing each side's work directory by `<work>`; a
+manifest that still differs is reported with the top-level keys that differ.
+For any other file that differs, the largest relative difference
 |a - b| / max(|a|, |b|) is given for each array in it: each array of an
 npz file, each top-level key of a JSON file, the numbers of a CSV file.
 Exits 0 when every file is identical, 1 otherwise.
@@ -131,8 +132,12 @@ def compare_file(rel, parent_root, change_root):
     if old == new:
         return f"{rel}: identical"
     if rel.name == "manifest.json":
-        if _manifest(old.decode(), parent_root) == _manifest(new.decode(), change_root):
+        a, b = _manifest(old.decode(), parent_root), _manifest(new.decode(), change_root)
+        if a == b:
             return f"{rel}: identical after removing durations and normalizing paths"
+        missing = object()
+        keys = [key for key in sorted(set(a) | set(b)) if a.get(key, missing) != b.get(key, missing)]
+        return f"{rel}: differs after removing durations and normalizing paths, in: {', '.join(keys)}"
     if rel.suffix == ".npz":
         with np.load(parent) as a, np.load(change) as b:
             arrays = _pairs({key: a[key] for key in a.files}, {key: b[key] for key in b.files})

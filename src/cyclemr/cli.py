@@ -293,14 +293,15 @@ def cmd_benchmark(args):
         (i, args.case, args.p, args.n, args.t, args.seed, config_doc, methods, thresholds)
         for i in range(args.replicates)
     ]
-    if jobs == 1:
-        results = [_replicate_metrics(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate_metrics, tasks))
-    results.sort(key=lambda item: item[0])
-
+    # Entered before the replicates run, so that an unusable --out fails at once.
     with _Workspace(args.out) as ws:
+        if jobs == 1:
+            results = [_replicate_metrics(task) for task in tasks]
+        else:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_replicate_metrics, tasks))
+        results.sort(key=lambda item: item[0])
+
         seed_lines = ["replicate,truth_seed,data_seed,fit_seed,baseline_seed"]
         for index, seeds, _ in results:
             seed_lines.append(

@@ -33,21 +33,15 @@ class GigParams:
             raise ValueError(f"GIG needs a finite order and finite positive rates, got {self}")
 
 
-def _gig_psi(x, alpha, lam):
-    return -alpha * (math.cosh(x) - 1.0) - lam * (math.exp(x) - x - 1.0)
-
-
-def _gig_dpsi(x, alpha, lam):
-    return -alpha * math.sinh(x) - lam * (math.exp(x) - 1.0)
-
-
 def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     """One draw from the generalized inverse Gaussian distribution.
 
     Uses the uniformly fast rejection method of Devroye (2014) in the
     two-parameter (lam, omega) standardization; valid over the whole range
     of GigParams, including the very negative orders produced by the
-    error-covariance update at large n.
+    error-covariance update at large n.  The log-density of the
+    standardized variable is psi(x) = -alpha (cosh x - 1) - lam (e^x - x - 1),
+    written out inline below.
     """
     lam, a, b = params.p_order, params.a, params.b
     omega = math.sqrt(a * b)
@@ -55,9 +49,10 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     if swap:
         lam = -lam
     alpha = math.sqrt(omega * omega + lam * lam) - lam
+    cosh, sinh, exp = math.cosh, math.sinh, math.exp
 
-    # Locate the envelope break points t and s.
-    x = -_gig_psi(1.0, alpha, lam)
+    # Locate the envelope break points t and s from -psi(1) and -psi(-1).
+    x = alpha * (cosh(1.0) - 1.0) + lam * (exp(1.0) - 1.0 - 1.0)
     if 0.5 <= x <= 2.0:
         t = 1.0
     elif x > 2.0:
@@ -65,11 +60,11 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     else:
         t = math.log(4.0 / (alpha + 2.0 * lam))
 
-    x = -_gig_psi(-1.0, alpha, lam)
+    x = alpha * (cosh(-1.0) - 1.0) + lam * (exp(-1.0) + 1.0 - 1.0)
     if 0.5 <= x <= 2.0:
         s = 1.0
     elif x > 2.0:
-        s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
+        s = math.sqrt(4.0 / (alpha * cosh(1.0) + lam))
     elif alpha == 0.0:
         s = 1.0 / lam
     else:
@@ -77,10 +72,12 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
         cand = math.log(1.0 + inv_alpha + math.sqrt(inv_alpha * inv_alpha + 2.0 * inv_alpha))
         s = cand if lam == 0.0 else min(1.0 / lam, cand)
 
-    eta = -_gig_psi(t, alpha, lam)
-    zeta = -_gig_dpsi(t, alpha, lam)
-    theta = -_gig_psi(-s, alpha, lam)
-    xi = _gig_dpsi(-s, alpha, lam)
+    # eta = -psi(t), zeta = -psi'(t), theta = -psi(-s), xi = psi'(-s).
+    exp_t, exp_ms = exp(t), exp(-s)
+    eta = alpha * (cosh(t) - 1.0) + lam * (exp_t - t - 1.0)
+    zeta = alpha * sinh(t) + lam * (exp_t - 1.0)
+    theta = alpha * (cosh(-s) - 1.0) + lam * (exp_ms + s - 1.0)
+    xi = -alpha * sinh(-s) - lam * (exp_ms - 1.0)
     inv_xi = 1.0 / xi
     inv_zeta = 1.0 / zeta
     td = t - inv_zeta * eta
@@ -100,14 +97,15 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
         if -sd <= rnd <= td:
             envelope = 1.0
         elif rnd > td:
-            envelope = math.exp(-eta - zeta * (rnd - t))
+            envelope = exp(-eta - zeta * (rnd - t))
         else:
-            envelope = math.exp(-theta + xi * (rnd + s))
-        if w * envelope <= math.exp(_gig_psi(rnd, alpha, lam)):
+            envelope = exp(-theta + xi * (rnd + s))
+        exp_rnd = exp(rnd)
+        if w * envelope <= exp(-alpha * (cosh(rnd) - 1.0) - lam * (exp_rnd - rnd - 1.0)):
             break
 
     # Transform back from the standardized variable.
-    out = math.exp(rnd) * (lam / omega + math.sqrt(1.0 + lam * lam / (omega * omega)))
+    out = exp_rnd * (lam / omega + math.sqrt(1.0 + lam * lam / (omega * omega)))
     if swap:
         out = 1.0 / out
     return out / math.sqrt(a / b)
@@ -165,7 +163,7 @@ def sample_inverse_gamma(shape, scale, rng: np.random.Generator):
         raise ValueError("inverse-gamma parameters must be positive")
     gamma = rng.gamma(shape, 1.0, size=np.broadcast_shapes(shape.shape, scale.shape))
     with np.errstate(divide="ignore", over="ignore"):
-        draw = np.clip(scale / gamma, 1e-300, 1e300)
+        draw = np.minimum(np.maximum(scale / gamma, 1e-300), 1e300)
     return float(draw) if draw.ndim == 0 else draw
 
 
@@ -180,10 +178,12 @@ def sample_beta(a, b, rng: np.random.Generator):
 
 
 def sample_bernoulli(q, rng: np.random.Generator):
-    """Bernoulli indicator draw; q clamped to [0, 1] within 1e-12 slack."""
+    """Bernoulli indicator draw; q may leave [0, 1] by 1e-12 of slack.
+
+    Uniforms lie in [0, 1), so q within the slack draws as if clamped to [0, 1].
+    """
     q = np.asarray(q, dtype=float)
     if not ((q >= -1e-12).all() and (q <= 1.0 + 1e-12).all()):
         raise ValueError("bernoulli probability outside [0, 1]")
-    q = np.clip(q, 0.0, 1.0)
     draw = (rng.random(q.shape) < q).astype(np.int8)
     return int(draw) if draw.ndim == 0 else draw

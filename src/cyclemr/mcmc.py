@@ -11,18 +11,22 @@ covariance that preserves positive definiteness by construction.
 
 Only the last step changes Sigma*, so the chain state carries
 Omega = Sigma*^{-1}, log|Sigma*| and the Cholesky factor of Sigma* from
-one sweep to the next.  Steps 4, 8, 9 and 11 read them; step 11 keeps Omega current column by column with
-rank-one updates and then refreshes both from one fresh Cholesky factor
-of Sigma*, so rounding drift never outlives a sweep.
+one sweep to the next.  Steps 4, 8, 9 and 11 read them.  Step 11 keeps
+Omega current column by column: one rank-one update takes column j out,
+and one rebuilds the whole of Omega after its draw.  After the last column
+it refreshes all three from one fresh Cholesky factor of Sigma*, so
+rounding drift never outlives a sweep.
 
 No accept/reject decision reads the cached log-likelihood: steps 4, 8, 9
 and 11 advance it by exact increments, and run_chain checks it against a
 fresh one after every LOG_LIK_CHECK_EVERY-th sweep.
 
-Step 4 factors each selection-mode row precision in place, and step 8
-computes every proposal's sweep-constant terms before its row loop.  Work
-that depends only on the statistics and the hyperparameters is built once
-per chain and held on the state (ChainState.per_chain).
+Steps 4 and 11 build each selection-mode row precision of B and each
+column precision of Sigma* in one Fortran-ordered buffer and factor it in
+place, and step 8 computes every proposal's sweep-constant terms before
+its row loop.  Work that depends only on the statistics and the
+hyperparameters is built once per chain and held on the state
+(ChainState.per_chain).
 
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
@@ -368,7 +372,7 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     log_lik = state.log_lik
     for j in range(p):
         c_j = n * float(prec[j, j])
-        np.multiply(s_xx, c_j, out=row_prec)
+        np.multiply(s_xx.T, c_j, out=row_prec)  # S_xx' is Fortran-ordered like row_prec
         diagonal += prior_prec[j]
         g = grad[j]
         normals = rng.standard_normal(k)
@@ -589,12 +593,16 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     models and efficient posterior computation", Bayesian Analysis 7(4)).
     With w = Omega[:, j] of the carried Omega, Sigma11^-1 = Omega11 - w w'/w_j
     and the current v = 1/w_j; Sigma11^-1 is held as the p x p matrix
-    K = Omega - w w'/w_j with row and column j zero.  After the draw, with
-    t = Sigma11^-1 u, Omega is rebuilt in place by rank one:
-    Omega11 = K + t t'/v, Omega[rest, j] = -t/v, Omega[j, j] = 1/v.  After
-    the last column one Cholesky factor of Sigma* refreshes Omega and
-    log|Sigma*|, so rounding drift never outlives a sweep, and a Sigma*
-    that is not positive definite raises NumericalError.
+    K = Omega - w w'/w_j with row and column j zero.  Column j's precision
+    w_j K S K + lam K + diag(prior) is built in one Fortran-ordered buffer
+    and factored in place.  Its coordinate j is uncoupled from the others,
+    and what it draws is set to zero.  Then t = K u with t[j] = -1 gives the
+    GIG quadratic t' S t and Sigma*[j, j] = v + u' t, and one rank-one
+    update K + t t'/v rebuilds the whole of Omega, row and column j
+    included: Omega11 = K + t t'/v, Omega[rest, j] = -t/v and
+    Omega[j, j] = 1/v.  After the last column one Cholesky factor of Sigma*
+    refreshes Omega and log|Sigma*|, so rounding drift never outlives a
+    sweep, and a Sigma* that is not positive definite raises NumericalError.
     """
     params, latent = state.params, state.latent
     p = params.p
@@ -610,27 +618,35 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
 
     prior_prec = 1.0 / np.where(latent.z == 1, hyper.omega1**2, hyper.omega2**2)
     # With K's row and column j zero, this makes coordinate j of column j's
-    # precision exactly one and uncoupled, and its draw exactly zero.
+    # precision one and uncoupled from the others, so it cannot move them.
     np.fill_diagonal(prior_prec, 1.0)
     k_mat = state.omega  # K while column j is drawn, Omega again after it
-    normals = np.zeros(p)  # entry j stays zero
+    k_s = np.empty((p, p))
+    k_s_diagonal = k_s.ravel()[:: p + 1]  # a view
+    u_prec = np.empty((p, p), order="F")
+    diagonal = u_prec.ravel(order="F")[:: p + 1]  # a view
+    normals = np.zeros(p)  # entry j feeds only the uncoupled coordinate, so a stale draw there is harmless
     for j in range(p):
         w = k_mat[:, j].copy()
         w_jj = float(w[j])  # 1 / the current v
         _add_outer(k_mat, -1.0 / w_jj, w, w)
         k_mat[:, j] = 0.0
         k_mat[j, :] = 0.0
-        k_s = k_mat @ scatter
-        u_prec = (k_s @ k_mat) * w_jj + lam * k_mat
-        u_prec.flat[:: p + 1] += prior_prec[:, j]
+        np.matmul(k_mat, scatter, out=k_s)
+        k_s *= w_jj
+        linear = k_s[:, j].copy()
+        k_s_diagonal += lam
+        np.matmul(k_s, k_mat, out=u_prec)  # (w_j K S + lam I) K
+        diagonal += prior_prec[:, j]
         drawn = rng.standard_normal(p - 1)
         normals[:j], normals[j + 1 :] = drawn[:j], drawn[j:]
         # _draw_gaussian factors the lower triangle only, so u_prec needs no symmetrizing.
-        u = _draw_gaussian(u_prec, k_s[:, j] * w_jj, normals, "error-covariance column")
+        u = _draw_gaussian(u_prec, linear, normals, "error-covariance column")
+        u[j] = 0.0
 
         t = k_mat @ u
-        s_t = scatter @ t
-        quad = float(t @ s_t - 2.0 * s_t[j] + scatter[j, j])
+        t[j] = -1.0
+        quad = float(t @ (scatter @ t))
         if quad <= GIG_QUAD_FLOOR:
             logger.warning("GIG quadratic argument %.3e clamped to floor", quad)
             quad = GIG_QUAD_FLOOR
@@ -640,10 +656,6 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         sigma[j, :] = u
         sigma[j, j] = v_new + float(u @ t)
         _add_outer(k_mat, 1.0 / v_new, t, t)
-        omega_j = t * (-1.0 / v_new)
-        k_mat[:, j] = omega_j
-        k_mat[j, :] = omega_j
-        k_mat[j, j] = 1.0 / v_new
 
     state.refresh_precision()
     after = float(np.sum(state.omega * resid)) + n * state.logdet_sigma

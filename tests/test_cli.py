@@ -441,6 +441,18 @@ class TestFailedCommandRemovesItsOutputs:
         assert err["error"] == "data_error" and err["type"] == "FileExistsError"
         assert taken.read_text() == "keep"
 
+    def test_benchmark_checks_out_before_any_replicate(self, tmp_path, monkeypatch, capsys):
+        def not_called(task):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cyclemr.cli, "_replicate_metrics", not_called)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert run_cli(*COMMANDS["benchmark"][1](None, taken)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_error" and err["type"] == "FileExistsError"
+        assert taken.read_text() == "keep"
+
 
 class TestIndicatorFiles:
     @pytest.mark.parametrize("value", [0.5, 2.0, float("nan"), -1.0], ids=["0.5", "2", "nan", "-1"])

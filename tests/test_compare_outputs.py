@@ -33,3 +33,15 @@ def test_differences_and_manifests(tmp_path):
     assert line == "summary.json: differs; largest relative difference: pip_a 0.333"
     line = compare_outputs.compare_file(Path("manifest.json"), parent, change)
     assert line == "manifest.json: identical after removing durations and normalizing paths"
+
+
+def test_manifest_that_still_differs_names_its_keys(tmp_path):
+    # The durations differ too, but they are removed before the comparison; the hashes are no numbers.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, digest, seconds, extra in ((parent, "0f", 2.5, {}), (change, "1e", 3.0, {"note": "x"})):
+        root.mkdir()
+        manifest = {"duration_s": seconds, "outputs": {"samples.npz": digest}, "seed": 1,
+                    "config": {"runtimes": seconds}, **extra}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    line = compare_outputs.compare_file(Path("manifest.json"), parent, change)
+    assert line == "manifest.json: differs after removing durations and normalizing paths, in: note, outputs"

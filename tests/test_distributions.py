@@ -35,6 +35,78 @@ def matrix_normal_logpdf(x, params: MatrixNormalParams) -> float:
     return -0.5 * (p * l * LOG_2PI + l * ld_row + p * ld_col + quad)
 
 
+def _reference_psi(x, alpha, lam):
+    return -alpha * (math.cosh(x) - 1.0) - lam * (math.exp(x) - x - 1.0)
+
+
+def _reference_dpsi(x, alpha, lam):
+    return -alpha * math.sinh(x) - lam * (math.exp(x) - 1.0)
+
+
+def reference_sample_gig(params: GigParams, rng: np.random.Generator) -> float:
+    """Devroye's (2014) GIG sampler written with psi and psi' as helper functions, for sample_gig to match."""
+    lam, a, b = params.p_order, params.a, params.b
+    omega = math.sqrt(a * b)
+    swap = lam < 0
+    if swap:
+        lam = -lam
+    alpha = math.sqrt(omega * omega + lam * lam) - lam
+
+    x = -_reference_psi(1.0, alpha, lam)
+    if 0.5 <= x <= 2.0:
+        t = 1.0
+    elif x > 2.0:
+        t = math.sqrt(2.0 / (alpha + lam))
+    else:
+        t = math.log(4.0 / (alpha + 2.0 * lam))
+
+    x = -_reference_psi(-1.0, alpha, lam)
+    if 0.5 <= x <= 2.0:
+        s = 1.0
+    elif x > 2.0:
+        s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
+    elif alpha == 0.0:
+        s = 1.0 / lam
+    else:
+        inv_alpha = 1.0 / alpha
+        cand = math.log(1.0 + inv_alpha + math.sqrt(inv_alpha * inv_alpha + 2.0 * inv_alpha))
+        s = cand if lam == 0.0 else min(1.0 / lam, cand)
+
+    eta = -_reference_psi(t, alpha, lam)
+    zeta = -_reference_dpsi(t, alpha, lam)
+    theta = -_reference_psi(-s, alpha, lam)
+    xi = _reference_dpsi(-s, alpha, lam)
+    inv_xi = 1.0 / xi
+    inv_zeta = 1.0 / zeta
+    td = t - inv_zeta * eta
+    sd = s - inv_xi * theta
+    q = td + sd
+    total = inv_xi + q + inv_zeta
+
+    while True:
+        u, v, w = rng.random(3).tolist()
+        u *= total
+        if u < q:
+            rnd = -sd + q * v
+        elif u < q + inv_zeta:
+            rnd = td - inv_zeta * math.log(v)
+        else:
+            rnd = -sd + inv_xi * math.log(v)
+        if -sd <= rnd <= td:
+            envelope = 1.0
+        elif rnd > td:
+            envelope = math.exp(-eta - zeta * (rnd - t))
+        else:
+            envelope = math.exp(-theta + xi * (rnd + s))
+        if w * envelope <= math.exp(_reference_psi(rnd, alpha, lam)):
+            break
+
+    out = math.exp(rnd) * (lam / omega + math.sqrt(1.0 + lam * lam / (omega * omega)))
+    if swap:
+        out = 1.0 / out
+    return out / math.sqrt(a / b)
+
+
 def gig_moment(p_order, a, b, moment=1):
     """Analytic GIG moments via Bessel-function ratios."""
     omega = math.sqrt(a * b)
@@ -91,11 +163,25 @@ class TestGig:
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0)
 
+    # 1 - (n + 2)/2 is step 11's order at n = 3e4 with two covariates.
+    @pytest.mark.parametrize("p_order", [1.0 - (3e4 + 2) / 2, -13.5, -0.3, 0.0, 0.3, 2.0])
+    def test_matches_reference_sampler(self, p_order):
+        rates = [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5]
+        for a in rates:
+            for b in rates:
+                params = GigParams(p_order=p_order, a=a, b=b)
+                rng = np.random.Generator(np.random.PCG64(17))
+                rng_ref = np.random.Generator(np.random.PCG64(17))
+                draws = [sample_gig(params, rng) for _ in range(20)]
+                expected = [reference_sample_gig(params, rng_ref) for _ in range(20)]
+                assert draws == expected, (p_order, a, b)
+                assert rng.bit_generator.state == rng_ref.bit_generator.state, (p_order, a, b)
+
     def test_invalid_parameters(self):
         # The gamma and inverse-gamma limits are outside the range; NaN and inf
         # would make sample_gig loop for ever.
         nan, inf = float("nan"), float("inf")
-        for p_order, a, b in [(-1.0, 2.0, 0.0), (1.0, 0.0, 2.0), (1.0, -1.0, 2.0), (1.0, nan, 2.0),
+        for p_order, a, b in [(-1.0, 2.0, 0.0), (1.0, 0.0, 2.0), (1.0, -1.0, 2.0), (1.0, 2.0, -1.0), (1.0, nan, 2.0),
                               (1.0, 2.0, nan), (nan, 2.0, 2.0), (1.0, inf, 2.0), (1.0, 2.0, inf),
                               (inf, 2.0, 2.0), (-inf, 2.0, 2.0)]:
             with pytest.raises(ValueError):
