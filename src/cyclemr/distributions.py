@@ -149,6 +149,7 @@ def draw_matrix_normal(mean, l_row, l_col, rng: np.random.Generator) -> np.ndarr
     return mean + l_row @ rng.standard_normal(mean.shape) @ l_col.T
 
 
+@np.errstate(divide="ignore", over="ignore")
 def sample_inverse_gamma(shape, scale, rng: np.random.Generator):
     """Inverse gamma with density ~ x^(-shape-1) exp(-scale/x); accepts array arguments.
 
@@ -158,12 +159,14 @@ def sample_inverse_gamma(shape, scale, rng: np.random.Generator):
     """
     shape = np.asarray(shape, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    # Written so that NaN fails too.
-    if not ((shape > 0).all() and (scale > 0).all()):
+    # Written so that NaN fails too; an empty array passes.
+    if not (shape.min(initial=1.0) > 0 and scale.min(initial=1.0) > 0):
         raise ValueError("inverse-gamma parameters must be positive")
-    gamma = rng.gamma(shape, 1.0, size=np.broadcast_shapes(shape.shape, scale.shape))
-    with np.errstate(divide="ignore", over="ignore"):
-        draw = np.minimum(np.maximum(scale / gamma, 1e-300), 1e300)
+    size = scale.shape if shape.ndim == 0 else np.broadcast_shapes(shape.shape, scale.shape)
+    draw = rng.gamma(shape, 1.0, size=size)
+    np.divide(scale, draw, out=draw)
+    np.maximum(draw, 1e-300, out=draw)
+    np.minimum(draw, 1e300, out=draw)
     return float(draw) if draw.ndim == 0 else draw
 
 
@@ -171,7 +174,8 @@ def sample_beta(a, b, rng: np.random.Generator):
     """Standard beta; accepts array arguments."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not ((a > 0).all() and (b > 0).all()):
+    # Written so that NaN fails too; an empty array passes.
+    if not (a.min(initial=1.0) > 0 and b.min(initial=1.0) > 0):
         raise ValueError("beta shapes must be positive")
     draw = rng.beta(a, b)
     return float(draw) if np.ndim(draw) == 0 else draw
@@ -183,7 +187,8 @@ def sample_bernoulli(q, rng: np.random.Generator):
     Uniforms lie in [0, 1), so q within the slack draws as if clamped to [0, 1].
     """
     q = np.asarray(q, dtype=float)
-    if not ((q >= -1e-12).all() and (q <= 1.0 + 1e-12).all()):
+    # Written so that NaN fails too; an empty array passes.
+    if not (q.min(initial=0.0) >= -1e-12 and q.max(initial=1.0) <= 1.0 + 1e-12):
         raise ValueError("bernoulli probability outside [0, 1]")
     draw = (rng.random(q.shape) < q).astype(np.int8)
     return int(draw) if draw.ndim == 0 else draw

@@ -4,28 +4,23 @@ One iteration applies, in order: Beta updates for the instrument-slab
 weights, the half-Cauchy scale hierarchy and inclusion indicators for B,
 an exact blocked Gibbs draw of B, the mirrored four updates for A (whose
 entries move by random-walk Metropolis scaled to their own conditionals,
-row by row, with (I - A)^{-1} and the gradient updated once per row), an exact
-matrix-normal Gibbs draw for C, Bernoulli updates for the confounding
-indicators, and a column-wise blocked Gibbs draw for the error
-covariance that preserves positive definiteness by construction.
+row by row), an exact matrix-normal Gibbs draw for C, Bernoulli updates
+for the confounding indicators, and a column-wise blocked Gibbs draw for
+the error covariance that preserves positive definiteness by construction.
 
 Only the last step changes Sigma*, so the chain state carries
 Omega = Sigma*^{-1}, log|Sigma*| and the Cholesky factor of Sigma* from
-one sweep to the next.  Steps 4, 8, 9 and 11 read them.  Step 11 keeps
-Omega current column by column: one rank-one update takes column j out,
-and one rebuilds the whole of Omega after its draw.  After the last column
-it refreshes all three from one fresh Cholesky factor of Sigma*, so
-rounding drift never outlives a sweep.
+one sweep to the next.  Steps 4, 8, 9 and 11 read them; step 11 keeps
+Omega current column by column and refreshes all three from one fresh
+Cholesky factor of Sigma* after its last column.
 
 No accept/reject decision reads the cached log-likelihood: steps 4, 8, 9
 and 11 advance it by exact increments, and run_chain checks it against a
-fresh one after every LOG_LIK_CHECK_EVERY-th sweep.
+fresh one after every LOG_LIK_CHECK_EVERY-th sweep and after the last.
 
-Steps 4 and 11 build each selection-mode row precision of B and each
-column precision of Sigma* in one Fortran-ordered buffer and factor it in
-place, and step 8 computes every proposal's sweep-constant terms before
-its row loop.  Work that depends only on the statistics and the
-hyperparameters is built once per chain and held on the state
+Work that depends only on the statistics and the hyperparameters, such as
+B's fixed support, C's column covariance, S_yy for step 8 and step 11's
+scratch buffers, is built once per chain and held on the state
 (ChainState.per_chain).
 
 Two variants share the kernel: a fixed instrument map with plain normal
@@ -55,6 +50,7 @@ from .model import (
     _chol_inverse,
     _chol_logdet,
     _chol_lower,
+    _identity,
     indicator_matrix,
     log_likelihood_summary,
     logabsdet_i_minus_a,
@@ -300,8 +296,10 @@ def update_psi(state: ChainState, hyper: Hyperparameters, rng):
 def _half_cauchy_scales(scales, values, included, shrink, rng):
     """Steps 2 and 6: new half-Cauchy slab scales of spike-and-slab effects, via auxiliary inverse gammas."""
     eps = sample_inverse_gamma(1.0, 1.0 + 1.0 / scales, rng)
-    rate = np.where(included == 1, values * values / 2.0, values * values / (2.0 * shrink)) + 1.0 / eps
-    return sample_inverse_gamma(1.0, np.maximum(rate, 1e-300), rng)
+    rate = values * values
+    rate /= np.where(included == 1, 2.0, 2.0 * shrink)
+    rate += 1.0 / eps
+    return sample_inverse_gamma(1.0, np.maximum(rate, 1e-300, out=rate), rng)
 
 
 def update_eta(state: ChainState, hyper: Hyperparameters, rng):
@@ -310,19 +308,18 @@ def update_eta(state: ChainState, hyper: Hyperparameters, rng):
     latent.eta = _half_cauchy_scales(latent.eta, state.params.b, latent.phi, hyper.nu2, rng)
 
 
+@np.errstate(divide="ignore")  # a weight of 0 or 1 gives a log of zero
 def _inclusion_probability(values, scales, shrink, weights):
     """Posterior slab probability for a spike-and-slab normal mixture.
 
     values are the current effects, scales the slab variances, shrink the
     spike variance factor, weights the prior slab probabilities.
     """
-    with np.errstate(divide="ignore"):
-        log_slab = np.log(weights) - values * values / (2.0 * scales)
-        log_spike = (
-            np.log1p(-np.asarray(weights, dtype=float))
-            - values * values / (2.0 * shrink * scales)
-            - 0.5 * math.log(shrink)
-        )
+    squares = values * values
+    log_slab = np.log(weights) - squares / (2.0 * scales)
+    log_spike = (
+        np.log1p(-np.asarray(weights, dtype=float)) - squares / (2.0 * shrink * scales) - 0.5 * math.log(shrink)
+    )
     return expit(log_slab - log_spike)
 
 
@@ -420,7 +417,8 @@ def update_rho(state: ChainState, hyper: Hyperparameters, rng):
     """Step 5: conjugate Beta refresh of the edge-slab weights."""
     latent = state.latent
     off = _offdiag_mask(latent.rho.shape[0])
-    latent.rho[off] = sample_beta(latent.gamma[off] + hyper.a_rho, 1 - latent.gamma[off] + hyper.b_rho, rng)
+    gamma = latent.gamma[off]
+    latent.rho[off] = sample_beta(gamma + hyper.a_rho, 1 - gamma + hyper.b_rho, rng)
 
 
 def update_tau(state: ChainState, hyper: Hyperparameters, rng):
@@ -452,7 +450,8 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     holds its value from the start of the sweep.  One vectorized pass
     therefore gives every entry its step delta, its prior term
     -delta (2a + delta)/(2v) and the -(n/2) delta^2 Omega[j, j] S_yy[h, h]
-    part of its quadratic change.
+    part of its quadratic change; diag(S_yy) and the rows of S_yy as Python
+    floats are built once per chain.
 
     Moving A[j, h] by delta multiplies det(I - A) by 1 - delta F[h, j], with
     F = (I - A)^{-1}, and shifts row j of the quadratic gradient
@@ -470,14 +469,15 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     n = stats.dims.n
     a_mat = params.a
     prec = state.omega
-    lu, piv, _ = dgetrf(np.eye(p) - a_mat)
-    f_inv, _ = dgetri(lu, piv)
+    lu, piv, _ = dgetrf(_identity(p) - a_mat)
+    f_inv, _ = dgetri(lu, piv, overwrite_lu=1)
     r_y, _ = residual_moments(params, stats, slice(0, p))
     grad = prec @ r_y
     s_yy = stats.s_yy
+    syy_diag, syy_rows = state.per_chain("a_syy", stats, (), lambda: (s_yy.diagonal().copy(), s_yy.tolist()))
     inv_var = 1.0 / np.where(latent.gamma == 1, latent.tau, hyper.nu1 * latent.tau)
-    prec_diag = np.diag(prec)
-    curvature = n * np.outer(prec_diag, np.diag(s_yy))
+    prec_diag = prec.diagonal()
+    curvature = n * (prec_diag[:, None] * syy_diag)
     proposed = p * (p - 1)
     # Laid out as A, so the off-diagonal entries are filled in the order they are proposed.
     off = _offdiag_mask(p)
@@ -489,7 +489,7 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     half_delta = -0.5 * delta
     quads = (curvature * delta * half_delta).tolist()
     log_priors = ((half_delta - a_mat) * delta * inv_var).tolist()  # -delta (2a + delta) / (2v)
-    deltas, uniforms, syy_rows, prec_diag = delta.tolist(), uniforms.tolist(), s_yy.tolist(), prec_diag.tolist()
+    deltas, uniforms, prec_diag = delta.tolist(), uniforms.tolist(), prec_diag.tolist()
     log, exp = math.log, math.exp
     log_lik = state.log_lik
     accepted = 0
@@ -548,7 +548,7 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     params.c = draw_matrix_normal(mean, state.chol_sigma, col_chol, rng)
     delta = params.c - c_old
     # C + Delta moves Q = tr(Omega R Theta') by tr(Delta' Omega (Delta S_uu - 2 R_u)).
-    state.log_lik -= 0.5 * n * float(np.sum((state.omega @ delta) * (delta @ stats.s_uu - 2.0 * r_u)))
+    state.log_lik -= 0.5 * n * float(np.vdot(state.omega @ delta, delta @ stats.s_uu - 2.0 * r_u))
 
 
 def _c_column(stats, tau_c):
@@ -594,10 +594,11 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     With w = Omega[:, j] of the carried Omega, Sigma11^-1 = Omega11 - w w'/w_j
     and the current v = 1/w_j; Sigma11^-1 is held as the p x p matrix
     K = Omega - w w'/w_j with row and column j zero.  Column j's precision
-    w_j K S K + lam K + diag(prior) is built in one Fortran-ordered buffer
-    and factored in place.  Its coordinate j is uncoupled from the others,
-    and what it draws is set to zero.  Then t = K u with t[j] = -1 gives the
-    GIG quadratic t' S t and Sigma*[j, j] = v + u' t, and one rank-one
+    w_j K S K + lam K + diag(prior) is built in one Fortran-ordered buffer,
+    held per chain with the other scratch arrays, and factored in place.
+    Its coordinate j is uncoupled from the others, and what it draws is set
+    to zero.  Then t = K u with t[j] = -1 gives the GIG quadratic t' S t
+    and Sigma*[j, j] = v + u' t, and one rank-one
     update K + t t'/v rebuilds the whole of Omega, row and column j
     included: Omega11 = K + t t'/v, Omega[rest, j] = -t/v and
     Omega[j, j] = 1/v.  After the last column one Cholesky factor of Sigma*
@@ -610,22 +611,20 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     lam = hyper.lam
     scatter = residual_scatter(params, stats, hyper.tau_c)
     # The log-likelihood is a constant minus (sum(Omega o resid) + n log|Sigma*|) / 2.
-    resid = scatter - params.c @ params.c.T / hyper.tau_c  # n R Theta'
-    before = float(np.sum(state.omega * resid)) + n * state.logdet_sigma
+    resid = scatter - params.c @ params.c.T / hyper.tau_c if stats.dims.l else scatter  # n R Theta'
+    before = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
     sigma = params.sigma_star
     # |Sigma*|^(-n/2) from the likelihood and ^(-l/2) from C's matrix-normal prior.
     order = 1.0 - (n + stats.dims.l) / 2.0
 
-    prior_prec = 1.0 / np.where(latent.z == 1, hyper.omega1**2, hyper.omega2**2)
+    prior_prec = np.where(latent.z == 1, 1.0 / hyper.omega1**2, 1.0 / hyper.omega2**2)
     # With K's row and column j zero, this makes coordinate j of column j's
     # precision one and uncoupled from the others, so it cannot move them.
-    np.fill_diagonal(prior_prec, 1.0)
+    prior_prec.ravel()[:: p + 1] = 1.0
     k_mat = state.omega  # K while column j is drawn, Omega again after it
-    k_s = np.empty((p, p))
-    k_s_diagonal = k_s.ravel()[:: p + 1]  # a view
-    u_prec = np.empty((p, p), order="F")
-    diagonal = u_prec.ravel(order="F")[:: p + 1]  # a view
-    normals = np.zeros(p)  # entry j feeds only the uncoupled coordinate, so a stale draw there is harmless
+    # Entry j of the normals feeds only the uncoupled coordinate, so a draw left there from before is harmless.
+    scratch = state.per_chain("sigma_columns", stats, (), lambda: _sigma_scratch(p))
+    k_s, k_s_diagonal, u_prec, diagonal, normals = scratch
     for j in range(p):
         w = k_mat[:, j].copy()
         w_jj = float(w[j])  # 1 / the current v
@@ -658,10 +657,16 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         _add_outer(k_mat, 1.0 / v_new, t, t)
 
     state.refresh_precision()
-    after = float(np.sum(state.omega * resid)) + n * state.logdet_sigma
+    after = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
     state.log_lik -= 0.5 * (after - before)
     if logabsdet_i_minus_a(params.a) is None or not math.isfinite(state.log_lik):
         raise NumericalError("non-finite log-likelihood after the blocked Gibbs sweep")
+
+
+def _sigma_scratch(p):
+    """Step 11's buffers K S and column precision, each with a view of its diagonal, and its normals."""
+    k_s, u_prec = np.empty((p, p)), np.empty((p, p), order="F")
+    return k_s, k_s.ravel()[:: p + 1], u_prec, u_prec.ravel(order="F")[:: p + 1], np.zeros(p)
 
 
 def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_support=None) -> ChainState:
@@ -746,9 +751,10 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     """Run the full kernel and collect thinned post-burn-in samples.
 
     Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
-    sweep the cached log-likelihood is replaced by a fresh one; the two must
-    be finite and agree to 1e-8 relative, or NumericalError is raised.
-    Samples of the SAMPLED arrays are kept every config.thin sweeps after burn-in.
+    sweep, and after the last sweep, the cached log-likelihood is replaced by
+    a fresh one; the two must be finite and agree to 1e-8 relative, or
+    NumericalError is raised.  Samples of the SAMPLED arrays are kept every
+    config.thin sweeps after burn-in.
     """
     config.validate()
     hyper = config.hyper
@@ -756,16 +762,16 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = initial_state(stats, hyper, config.fixed_b_support)
 
-    def sampled(name):
-        return getattr(state.latent if name in INDICATORS else state.params, name)
-
+    # (destination, owner, attribute): the steps may replace an array, so it is looked up at every kept sweep.
     n_keep = -(-(config.iterations - config.burn_in) // config.thin)
-    kept = {
-        name: np.empty((n_keep, *sampled(name).shape), dtype=np.int8 if name in INDICATORS else float)
-        for name in SAMPLED
-    }
+    sources = []
+    for name in SAMPLED:
+        owner = state.latent if name in INDICATORS else state.params
+        shape = getattr(owner, name).shape
+        sources.append((np.empty((n_keep, *shape), dtype=np.int8 if name in INDICATORS else float), owner, name))
     loglik = np.empty(config.iterations)
     min_eig = np.empty(config.iterations)
+    burn_in, thin, params = config.burn_in, config.thin, state.params
 
     acc_a_post = tot_a_post = acc_b_post = tot_b_post = 0
     stored = 0
@@ -775,24 +781,24 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
         if it % LOG_LIK_CHECK_EVERY == 0:
             _check_log_lik(state, stats)
+        loglik[it - 1] = state.log_lik
+        min_eig[it - 1] = np.linalg.eigvalsh(params.sigma_star)[0]  # eigenvalues come in ascending order
 
-        in_burn_in = it <= config.burn_in
-        if not in_burn_in:
+        if it > burn_in:
             acc_a_post += acc_a
             tot_a_post += tot_a
             acc_b_post += acc_b
             tot_b_post += tot_b
-
-        loglik[it - 1] = state.log_lik
-        min_eig[it - 1] = float(np.linalg.eigvalsh(state.params.sigma_star).min())
-
-        if not in_burn_in and (it - config.burn_in - 1) % config.thin == 0:
-            for name in SAMPLED:
-                kept[name][stored] = sampled(name)
-            stored += 1
+            if (it - burn_in - 1) % thin == 0:
+                for kept, owner, name in sources:
+                    kept[stored] = getattr(owner, name)
+                stored += 1
+    # Check the sweeps since the last periodic check too; loglik already holds their cached values.
+    if config.iterations % LOG_LIK_CHECK_EVERY:
+        _check_log_lik(state, stats)
 
     return Chain(
-        **{name: kept[name][:stored] for name in SAMPLED},
+        **{name: kept[:stored] for kept, _, name in sources},
         loglik=loglik,
         sigma_min_eig=min_eig,
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),

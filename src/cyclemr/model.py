@@ -11,6 +11,7 @@ MOMENT_BLOCKS names the six blocks of J, and moment_shapes gives their shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -189,19 +190,26 @@ class RawDataSet:
         return Dimensions(p=p, k=self.x.shape[1], l=self.u.shape[1], n=n)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(p):
+    """The read-only p x p identity, built once per size."""
+    identity = np.eye(p)
+    identity.setflags(write=False)
+    return identity
+
+
 def logabsdet_i_minus_a(a):
     """log|det(I - A)| via LU with absolute-value pivot accumulation.
 
     Returns None when any pivot magnitude falls below SINGULAR_PIVOT_TOL.
     """
-    f = np.eye(a.shape[0]) - a
-    return _logabsdet(f)
+    return _logabsdet(_identity(a.shape[0]) - a)
 
 
 def _logabsdet(f):
     # LAPACK getrf, as in scipy.linalg.lu_factor; an exact zero pivot is handled below.
     lu, _, _ = dgetrf(f)
-    pivots = np.abs(np.diag(lu))
+    pivots = np.abs(lu.diagonal())
     if pivots.min(initial=1.0) < SINGULAR_PIVOT_TOL:
         return None
     return float(np.log(pivots).sum())
@@ -220,13 +228,13 @@ def _chol_lower(sigma, overwrite=False):
 
 def _chol_inverse(chol_l):
     """Invert a matrix from its lower Cholesky factor (LAPACK potrs, as scipy.linalg.cho_solve)."""
-    inverse, _ = dpotrs(chol_l, np.eye(chol_l.shape[0]), lower=1)
+    inverse, _ = dpotrs(chol_l, _identity(chol_l.shape[0]), lower=1)  # solves into a copy
     return inverse
 
 
 def _chol_logdet(chol_l):
     """log det of a matrix from its lower Cholesky factor."""
-    return 2.0 * float(np.log(np.diag(chol_l)).sum())
+    return 2.0 * float(np.log(chol_l.diagonal()).sum())
 
 
 def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:

@@ -55,9 +55,7 @@ class FitSummary:
 
 def _credible_interval(samples):
     lo = (1.0 - CREDIBLE_LEVEL) / 2.0
-    return np.stack(
-        [np.quantile(samples, lo, axis=0), np.quantile(samples, 1.0 - lo, axis=0)], axis=-1
-    )
+    return np.moveaxis(np.quantile(samples, [lo, 1.0 - lo], axis=0), 0, -1)
 
 
 def summarize(chain: Chain, threshold_a=0.5, threshold_b=0.5, threshold_z=0.5) -> FitSummary:

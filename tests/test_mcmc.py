@@ -439,6 +439,24 @@ class TestRunChain:
         with pytest.raises(NumericalError, match="iteration 1000"):
             run_chain(stats, config)
 
+    @pytest.mark.parametrize("iterations", [600, 1_500])
+    def test_cache_check_covers_the_last_sweeps(self, monkeypatch, iterations):
+        # A chain whose length is not a multiple of LOG_LIK_CHECK_EVERY is checked after its last sweep too.
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        exact_sweep = mcmc.mcmc_sweep
+
+        def drifting_sweep(state, *args):
+            result = exact_sweep(state, *args)
+            if state.iteration == iterations:
+                state.log_lik += 1.0
+            return result
+
+        monkeypatch.setattr(mcmc, "mcmc_sweep", drifting_sweep)
+        config = McmcConfig(iterations=iterations, burn_in=100, thin=1, seed=5, hyper=selection_hyper())
+        with pytest.raises(NumericalError, match=f"iteration {iterations}"):
+            run_chain(stats, config)
+
     @pytest.mark.parametrize("cached, fresh", [(-1.0, -math.inf), (math.nan, -1.0), (-math.inf, -math.inf)])
     def test_cache_check_rejects_non_finite_values(self, monkeypatch, cached, fresh):
         rng = np.random.default_rng(20)
