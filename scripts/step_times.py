@@ -8,8 +8,8 @@ Usage, from anywhere:
 Each tree is a checkout holding src/ and perfbench/.  One worker
 subprocess per tree imports cyclemr from that tree's src/ with one BLAS
 thread, builds the workload's summary statistics from that tree's
-perfbench/workloads.py on a fixed data seed (--data-seed), and starts one
-chain from a fixed seed (--chain-seed).  It replaces each `update_*` name
+perfbench/workloads.py on data seed DATA_SEED, and starts one chain from
+seed CHAIN_SEED.  It replaces each `update_*` name
 in cyclemr.mcmc, where mcmc_sweep looks them up, by a timing wrapper, and
 times each mcmc_sweep call; nothing below the step level is wrapped, so a
 sweep pays eleven wrappers at most.  The chain runs --warmup sweeps
@@ -53,6 +53,8 @@ STEPS = (
     "update_z",
     "update_sigma_star",
 )
+DATA_SEED = 12345
+CHAIN_SEED = 1
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -64,8 +66,6 @@ def parse_args(argv=None):
     parser.add_argument("--sweeps", type=int, default=1000, help="timed sweeps per round and tree")
     parser.add_argument("--warmup", type=int, default=200, help="untimed sweeps before the first round")
     parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--data-seed", type=int, default=12345)
-    parser.add_argument("--chain-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("step_times.json"))
     parser.add_argument("--worker", type=Path, metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -79,7 +79,7 @@ def parse_args(argv=None):
 # ---------------------------------------------------------------- worker side
 
 
-def worker(tree, workload_name, data_seed, chain_seed):
+def worker(tree, workload_name):
     """Serve timing requests on stdin: each line holds a sweep count, each reply is one JSON line."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str((tree / "perfbench").resolve())]
@@ -88,17 +88,18 @@ def worker(tree, workload_name, data_seed, chain_seed):
     import cyclemr
     import cyclemr.mcmc as mcmc
     import workloads
+    from cyclemr.cli import INSTRUMENT_MODES
     from cyclemr.model import compute_sufficient_stats
 
     if Path(cyclemr.__file__).resolve().parent != src / "cyclemr":
         raise SystemExit(f"step_times: imported cyclemr from {cyclemr.__file__}, not from {src}")
     workload = workloads.WORKLOADS[workload_name]
-    truth, _, raw = workloads.simulate(workload, data_seed)
+    truth, _, raw = workloads.simulate(workload, DATA_SEED)
     stats = compute_sufficient_stats(raw)
-    hyper = mcmc.Hyperparameters(instrument_mode=mcmc.SELECTION if workload.mode == "rgm-plus" else mcmc.FIXED_MAP)
+    hyper = mcmc.Hyperparameters(instrument_mode=INSTRUMENT_MODES[workload.mode])
     support = truth.b_support if hyper.instrument_mode == mcmc.FIXED_MAP else None
     state = mcmc.initial_state(stats, hyper, support)
-    rng = np.random.Generator(np.random.PCG64(chain_seed))
+    rng = np.random.Generator(np.random.PCG64(CHAIN_SEED))
 
     totals = dict.fromkeys(STEPS, 0)
     clock = time.perf_counter_ns
@@ -145,10 +146,7 @@ class Worker:
     """One worker subprocess on one tree."""
 
     def __init__(self, tree, args):
-        argv = [
-            sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), "--workload", args.workload,
-            "--data-seed", str(args.data_seed), "--chain-seed", str(args.chain_seed),
-        ]
+        argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), "--workload", args.workload]
         env = {**os.environ, **SINGLE_THREAD}
         env.pop("PYTHONPATH", None)
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
@@ -192,7 +190,7 @@ def summarize(rounds):
 def main(argv=None):
     args = parse_args(argv)
     if args.worker is not None:
-        worker(args.worker, args.workload, args.data_seed, args.chain_seed)
+        worker(args.worker, args.workload)
         return 0
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -216,8 +214,8 @@ def main(argv=None):
         "workload": args.workload,
         "trees": {side: str(tree) for side, tree in trees.items()},
         "protocol": {
-            "data_seed": args.data_seed,
-            "chain_seed": args.chain_seed,
+            "data_seed": DATA_SEED,
+            "chain_seed": CHAIN_SEED,
             "warmup": args.warmup,
             "sweeps": args.sweeps,
             "rounds": args.rounds,

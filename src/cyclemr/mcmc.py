@@ -611,7 +611,7 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     lam = hyper.lam
     scatter = residual_scatter(params, stats, hyper.tau_c)
     # The log-likelihood is a constant minus (sum(Omega o resid) + n log|Sigma*|) / 2.
-    resid = scatter - params.c @ params.c.T / hyper.tau_c if stats.dims.l else scatter  # n R Theta'
+    resid = scatter - params.c @ params.c.T / hyper.tau_c  # n R Theta'
     before = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
     sigma = params.sigma_star
     # |Sigma*|^(-n/2) from the likelihood and ^(-l/2) from C's matrix-normal prior.
