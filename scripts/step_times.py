@@ -24,6 +24,11 @@ minus its steps, that is mcmc_sweep's own code and the wrappers.  It also
 says whether both chains ended with the same generator state and the same
 indicator arrays, which holds when the change kept the random stream, and
 gives every round and the Python, numpy and scipy versions and nproc.
+
+Only mcmc_sweep is timed.  run_chain's own per-iteration work outside
+the sweep (storing kept draws, the log-likelihood trace and
+sigma_min_eig) never runs here; it shows only in the traced benchmark's
+`mcmc.chain_self_us`.
 """
 
 from __future__ import annotations

@@ -69,6 +69,9 @@ GIG_QUAD_FLOOR = 1e-12
 # Sweeps between checks of the cached log-likelihood against a fresh one.
 LOG_LIK_CHECK_EVERY = 1000
 
+# Sweeps whose Sigma* run_chain collects for one batched eigenvalue call.
+MIN_EIG_BLOCK = 100
+
 # The arrays a chain stores per kept draw, in output order; the indicator
 # arrays come from LatentState and are stored as int8, the rest from
 # ModelParameters.
@@ -248,9 +251,11 @@ def _draw_gaussian(prec, linear, normals, what):
     With prec = L L', the draw is L'^-1 (L^-1 linear + normals): two
     triangular solves (Rue 2001, "Fast sampling of Gaussian Markov random
     fields", JRSS B 63(2)).  Every caller passes a scratch prec: a
-    Fortran-ordered one is factored in place, any other in a copy.
+    Fortran-ordered one is factored in place, any other in a copy.  Only
+    the lower triangle of prec is read, and the factor's strict upper
+    triangle is left as prec held it, since both solves read only L.
     """
-    chol = _chol_lower(prec, overwrite=True)
+    chol = _chol_lower(prec, overwrite=True, clean=False)
     if chol is None:
         raise NumericalError(f"{what} precision is not positive definite")
     half, _ = dtrtrs(chol, linear, lower=1)
@@ -346,9 +351,12 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     row j has L = c_j S_xx with c_j = n Omega[j, j]; its precision is
     written into one Fortran-ordered buffer and factored in place, and
     L b_j = c_j (B S_xx)[j] comes from one product before the loop, since
-    row j is unchanged until its turn.  delta' S_xx serves both the
-    increment and the rank-one gradient update n Omega[:, j] (delta' S_xx).
-    Returns (drawn, drawn): every draw is accepted.
+    row j is unchanged until its turn.  Every row's standard normals come
+    from one draw before the loop too; no other draw comes between the
+    rows, so the random stream is that of one draw per row.  delta' S_xx
+    serves both the increment and the rank-one gradient update
+    n Omega[:, j] (delta' S_xx).  Returns (drawn, drawn): every draw is
+    accepted.
     """
     params, latent = state.params, state.latent
     n = stats.dims.n
@@ -366,14 +374,14 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     b_sxx = b_mat @ s_xx
     row_prec = np.empty((k, k), order="F")
     diagonal = row_prec.ravel(order="F")[:: k + 1]  # a view
+    normals = rng.standard_normal((p, k))
     log_lik = state.log_lik
     for j in range(p):
         c_j = n * float(prec[j, j])
         np.multiply(s_xx.T, c_j, out=row_prec)  # S_xx' is Fortran-ordered like row_prec
         diagonal += prior_prec[j]
         g = grad[j]
-        normals = rng.standard_normal(k)
-        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals, "B row")
+        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals[j], "B row")
         delta = new - b_mat[j]
         b_mat[j] = new
         delta_sxx = delta @ s_xx
@@ -755,6 +763,11 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     a fresh one; the two must be finite and agree to 1e-8 relative, or
     NumericalError is raised.  Samples of the SAMPLED arrays are kept every
     config.thin sweeps after burn-in.
+
+    sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*.
+    No step reads it, so each sweep only copies Sigma* into a block of
+    MIN_EIG_BLOCK slots; one eigvalsh call fills each full block's values,
+    and one more those of the partial block left after the last sweep.
     """
     config.validate()
     hyper = config.hyper
@@ -772,6 +785,7 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     loglik = np.empty(config.iterations)
     min_eig = np.empty(config.iterations)
     burn_in, thin, params = config.burn_in, config.thin, state.params
+    sigma_block = np.empty((MIN_EIG_BLOCK, *params.sigma_star.shape))
 
     acc_a_post = tot_a_post = acc_b_post = tot_b_post = 0
     stored = 0
@@ -782,7 +796,10 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         if it % LOG_LIK_CHECK_EVERY == 0:
             _check_log_lik(state, stats)
         loglik[it - 1] = state.log_lik
-        min_eig[it - 1] = np.linalg.eigvalsh(params.sigma_star)[0]  # eigenvalues come in ascending order
+        slot = (it - 1) % MIN_EIG_BLOCK
+        sigma_block[slot] = params.sigma_star
+        if slot == MIN_EIG_BLOCK - 1:
+            min_eig[it - MIN_EIG_BLOCK : it] = np.linalg.eigvalsh(sigma_block)[:, 0]  # eigenvalues ascend
 
         if it > burn_in:
             acc_a_post += acc_a
@@ -796,6 +813,9 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     # Check the sweeps since the last periodic check too; loglik already holds their cached values.
     if config.iterations % LOG_LIK_CHECK_EVERY:
         _check_log_lik(state, stats)
+    filled = config.iterations % MIN_EIG_BLOCK
+    if filled:
+        min_eig[-filled:] = np.linalg.eigvalsh(sigma_block[:filled])[:, 0]
 
     return Chain(
         **{name: kept[:stored] for kept, _, name in sources},

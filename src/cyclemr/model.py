@@ -215,14 +215,18 @@ def _logabsdet(f):
     return float(np.log(pivots).sum())
 
 
-def _chol_lower(sigma, overwrite=False):
+def _chol_lower(sigma, overwrite=False, clean=True):
     """Lower Cholesky factor of a symmetric matrix, or None if not PD.
 
     LAPACK is called directly: scipy.linalg.cholesky runs the same routine,
     but at these sizes its argument handling costs more than the factorization.
     With overwrite, a Fortran-ordered sigma is factored in place and returned.
+    dpotrf reads only the lower triangle of sigma.  With clean, the factor's
+    strict upper triangle is zeroed, as a full matrix product of the factor
+    needs; without it, that triangle keeps what sigma held there, so only a
+    reader of the lower triangle alone, such as dtrtrs(lower=1), may use it.
     """
-    chol, info = dpotrf(sigma, lower=1, clean=1, overwrite_a=overwrite)
+    chol, info = dpotrf(sigma, lower=1, clean=clean, overwrite_a=overwrite)
     return chol if info == 0 else None
 
 

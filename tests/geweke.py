@@ -7,9 +7,9 @@ scales and their children) are compared through bounded or log
 transforms, since their raw prior moments do not exist.
 
 Two models are covered: the selection-mode micro-model (p=2, k=2, no
-covariates), which runs update_b's row blocks, and a fixed-map model with
-covariates, which runs update_b's single support block, update_c and a
-vector column in the Sigma* sweep.
+covariates by default, or p=3 with a covariate), which runs update_b's
+row blocks, and a fixed-map model with covariates, which runs update_b's
+single support block, update_c and a vector column in the Sigma* sweep.
 """
 
 import numpy as np
@@ -177,15 +177,15 @@ def compare_moments(mc_rows, sc_rows):
     return np.concatenate(zs)
 
 
-def geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2024, n=30):
-    """Run the full comparison on the p=2, k=2, l=0 micro-model."""
+def geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2024, n=30, p=2, k=2, l=0, tau_c=10.0):
+    """Run the full comparison on the selection-mode micro-model, by default p=2, k=2, l=0."""
     hyper = Hyperparameters(
         nu1=0.1, nu2=0.1, omega1=0.8, omega2=0.1, pi_z=0.5, lam=1.0,
-        tau_c=10.0, instrument_mode="selection",
+        tau_c=tau_c, instrument_mode="selection",
     )
     replicates = total_sweeps // chain_length
-    mc = run_marginal_conditional(2, 2, n, hyper, replicates, seed)
-    sc = run_successive_conditional(2, 2, n, hyper, replicates, chain_length, seed + 1)
+    mc = run_marginal_conditional(p, k, n, hyper, replicates, seed, l=l)
+    sc = run_successive_conditional(p, k, n, hyper, replicates, chain_length, seed + 1, l=l)
     return compare_moments(mc, sc)
 
 

@@ -138,6 +138,18 @@ class TestAcceptance:
             f"max |z| {worst:.2f} over {zs.size} comparisons, {elapsed:.0f}s",
         )
 
+    def test_criterion_3_geweke_selection_with_a_covariate(self):
+        started = time.monotonic()
+        zs = geweke_micro_test(total_sweeps=50_000, chain_length=10, seed=2026, n=30, p=3, k=2, l=1, tau_c=1.0)
+        elapsed = time.monotonic() - started
+        worst = float(np.abs(zs).max())
+        _report(
+            3,
+            "selection, p=3, l=1: marginal- vs successive-conditional moments agree within 4 SE",
+            worst < 4.0 and elapsed < 300.0,
+            f"max |z| {worst:.2f} over {zs.size} comparisons, {elapsed:.0f}s",
+        )
+
     def test_criterion_3_geweke_fixed_map_with_covariates(self):
         started = time.monotonic()
         zs = geweke_fixed_map_test(total_sweeps=30_000, chain_length=10, seed=2025, n=30)

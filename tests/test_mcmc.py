@@ -274,6 +274,20 @@ class TestMetropolisSteps:
 
 
 class TestGibbsSteps:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_draw_gaussian_reads_only_the_lower_triangle(self, order):
+        # _draw_gaussian leaves the factor's upper triangle as prec held it, so neither solve may read it.
+        rng = np.random.default_rng(24)
+        root = rng.standard_normal((6, 6))
+        prec = root @ root.T + 6.0 * np.eye(6)
+        linear, normals = rng.standard_normal(6), rng.standard_normal(6)
+        poisoned = prec.copy()
+        poisoned[np.triu_indices(6, 1)] = np.nan
+        expected = mcmc._draw_gaussian(np.array(prec, order=order), linear, normals, "test")
+        drawn = mcmc._draw_gaussian(np.array(poisoned, order=order), linear, normals, "test")
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(drawn, expected)
+
     def test_update_c_matches_matrix_normal(self):
         rng = np.random.default_rng(10)
         stats = make_stats(rng, p=2, k=1, l=1, n=40)
@@ -466,6 +480,25 @@ class TestRunChain:
         monkeypatch.setattr(mcmc, "log_likelihood_summary", lambda params, stats: fresh)
         with pytest.raises(NumericalError, match="diverged"):
             mcmc._check_log_lik(state, stats)
+
+    @pytest.mark.parametrize("mode", [SELECTION, FIXED_MAP])
+    @pytest.mark.parametrize(
+        "iterations",
+        [mcmc.MIN_EIG_BLOCK - 37, 2 * mcmc.MIN_EIG_BLOCK, mcmc.MIN_EIG_BLOCK + 37],
+        ids=["short", "on-boundary", "partial-last-block"],
+    )
+    def test_sigma_min_eig_is_every_sweeps_smallest_eigenvalue(self, mode, iterations):
+        # run_chain fills sigma_min_eig a block of sweeps at a time; every value must land on its own sweep.
+        rng = np.random.default_rng(23)
+        stats = make_stats(rng, p=3, k=2, n=40)
+        support = np.array([[1, 0], [0, 1], [1, 1]]) if mode == FIXED_MAP else None
+        config = McmcConfig(
+            iterations=iterations, burn_in=0, thin=1, seed=8,
+            hyper=Hyperparameters(instrument_mode=mode), fixed_b_support=support,
+        )
+        chain = run_chain(stats, config)
+        assert chain.sigma_star.shape[0] == iterations
+        assert np.array_equal(chain.sigma_min_eig, [np.linalg.eigvalsh(s)[0] for s in chain.sigma_star])
 
     def test_invalid_config_rejected(self):
         rng = np.random.default_rng(21)
