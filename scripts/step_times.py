@@ -9,15 +9,17 @@ Each tree is a checkout holding src/ and perfbench/.  One worker
 subprocess per tree imports cyclemr from that tree's src/ with one BLAS
 thread, builds the workload's summary statistics from that tree's
 perfbench/workloads.py on data seed DATA_SEED, and starts one chain from
-seed CHAIN_SEED.  It replaces each `update_*` name
-in cyclemr.mcmc, where mcmc_sweep looks them up, by a timing wrapper, and
-times each mcmc_sweep call; nothing below the step level is wrapped, so a
-sweep pays eleven wrappers at most.  The chain runs --warmup sweeps
-untimed; then each of --rounds rounds asks both workers for --sweeps
-sweeps, the parent first in even rounds and the change first in odd ones,
-so that a drift of the machine's speed does not favour one side.
+seed CHAIN_SEED.  It replaces each step that UPDATE_STEPS in the tree's
+perfbench/tracing.py names by a timing wrapper in cyclemr.mcmc, where
+mcmc_sweep looks them up, and times each mcmc_sweep call; nothing below
+the step level is wrapped, so a sweep pays one wrapper per step.  The
+chain runs --warmup sweeps untimed; then each of --rounds rounds asks both
+workers for --sweeps sweeps, the parent first in even rounds and the change
+first in odd ones, so that a drift of the machine's speed does not favour
+one side.
 
-The output holds, per step and for the whole sweep, each side's median and
+The coordinator takes the step names from the workers' replies.  The
+output holds, per step and for the whole sweep, each side's median and
 quartiles over the rounds in microseconds per sweep and the median of the
 per-round differences (change minus parent); `outside_steps` is the sweep
 minus its steps, that is mcmc_sweep's own code and the wrappers.  It also
@@ -45,19 +47,6 @@ from pathlib import Path
 
 from bench_pairs import environment, spread
 
-STEPS = (
-    "update_psi",
-    "update_eta",
-    "update_phi",
-    "update_b",
-    "update_rho",
-    "update_tau",
-    "update_gamma",
-    "update_a",
-    "update_c",
-    "update_z",
-    "update_sigma_star",
-)
 DATA_SEED = 12345
 CHAIN_SEED = 1
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -92,6 +81,7 @@ def worker(tree, workload_name):
 
     import cyclemr
     import cyclemr.mcmc as mcmc
+    import tracing
     import workloads
     from cyclemr.cli import INSTRUMENT_MODES
     from cyclemr.model import compute_sufficient_stats
@@ -106,7 +96,8 @@ def worker(tree, workload_name):
     state = mcmc.initial_state(stats, hyper, support)
     rng = np.random.Generator(np.random.PCG64(CHAIN_SEED))
 
-    totals = dict.fromkeys(STEPS, 0)
+    steps = tracing.UPDATE_STEPS
+    totals = dict.fromkeys(steps, 0)
     clock = time.perf_counter_ns
 
     def timed(name, func):
@@ -118,13 +109,13 @@ def worker(tree, workload_name):
 
         return wrapped
 
-    for name in STEPS:
+    for name in steps:
         setattr(mcmc, name, timed(name, getattr(mcmc, name)))
     sweep = mcmc.mcmc_sweep
 
     for line in sys.stdin:
         sweeps = int(line)
-        for name in STEPS:
+        for name in steps:
             totals[name] = 0
         start = clock()
         for _ in range(sweeps):
@@ -173,15 +164,18 @@ def per_sweep_us(reply):
     """Microseconds per sweep of each step that ran, of the whole sweep and of the part outside the steps."""
     sweeps = reply["sweeps"]
     out = {name: ns / sweeps / 1e3 for name, ns in reply["step_ns"].items() if ns}
+    in_steps = sum(out.values())
     out["sweep"] = reply["sweep_ns"] / sweeps / 1e3
-    out["outside_steps"] = out["sweep"] - sum(out[name] for name in STEPS if name in out)
+    out["outside_steps"] = out["sweep"] - in_steps
     return out
 
 
 def summarize(rounds):
-    names = [name for name in (*STEPS, "sweep", "outside_steps") if any(name in side for side in rounds[0].values())]
+    """Per step that ran on either side, in the workers' order, then the whole sweep and the part outside the steps."""
+    totals = ("sweep", "outside_steps")
+    steps = dict.fromkeys(name for side in rounds[0].values() for name in side if name not in totals)
     table = {}
-    for name in names:
+    for name in (*steps, *totals):
         parent = [r["parent"].get(name, 0.0) for r in rounds]
         change = [r["change"].get(name, 0.0) for r in rounds]
         table[name] = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .model import RawDataSet, SummaryStatistics, compute_sufficient_stats
+from .model import RawDataSet, SummaryStatistics
 
 WEAK_DENOMINATOR = 1e-12
 WEAK_F_THRESHOLD = 10.0
@@ -204,20 +204,13 @@ def baseline_effects(source, method, instrument_map, seed=0) -> BaselineResult:
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline method {method!r}")
-    if method == "tsls":
-        if not isinstance(source, RawDataSet):
-            raise ValueError("tsls needs individual-level data")
-        data = source
-        stats = compute_sufficient_stats(data)
-    else:
-        if isinstance(source, RawDataSet):
-            stats = compute_sufficient_stats(source)
-            data = source
-        else:
-            stats = source
-            data = None
+    raw = method == "tsls"
+    if not isinstance(source, RawDataSet if raw else SummaryStatistics):
+        raise ValueError(f"{method} needs {'individual-level data' if raw else 'summary statistics'}")
+    if raw and not (np.isfinite(source.y).all() and np.isfinite(source.x).all()):
+        raise ValueError("tsls needs finite individual-level data")
     instrument_map = np.asarray(instrument_map, dtype=int)
-    p = stats.dims.p
+    p = source.dims.p
     rng = np.random.Generator(np.random.PCG64(seed))
     effect = np.zeros((p, p))
     score = np.zeros((p, p))
@@ -230,9 +223,9 @@ def baseline_effects(source, method, instrument_map, seed=0) -> BaselineResult:
                 instruments = np.flatnonzero(instrument_map[h])
                 if instruments.size == 0:
                     continue
-                est, se = tsls_pair(data, exposure=h, outcome=j, instruments=instruments)
+                est, se = tsls_pair(source, exposure=h, outcome=j, instruments=instruments)
             else:
-                ratios, ses = ratio_estimates(stats, instrument_map, outcome=j, exposure=h)
+                ratios, ses = ratio_estimates(source, instrument_map, outcome=j, exposure=h)
                 if ratios.size == 0:
                     continue
                 if method == "ivw":

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NotPositiveDefiniteError, _chol_lower
-
 
 @dataclass(frozen=True)
 class GigParams:
@@ -109,39 +107,6 @@ def sample_gig(params: GigParams, rng: np.random.Generator) -> float:
     if swap:
         out = 1.0 / out
     return out / math.sqrt(a / b)
-
-
-@dataclass
-class MatrixNormalParams:
-    """Mean matrix plus SPD row and column covariances."""
-
-    mean: np.ndarray
-    row_cov: np.ndarray
-    col_cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.row_cov = np.asarray(self.row_cov, dtype=float)
-        self.col_cov = np.asarray(self.col_cov, dtype=float)
-        p, l = self.mean.shape
-        if self.row_cov.shape != (p, p):
-            raise ValueError(f"row covariance shape {self.row_cov.shape} != ({p}, {p})")
-        if self.col_cov.shape != (l, l):
-            raise ValueError(f"column covariance shape {self.col_cov.shape} != ({l}, {l})")
-
-
-def sample_matrix_normal(params: MatrixNormalParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw M + L_row Z L_col' with Z iid standard normal.
-
-    The vectorized draw has covariance ColCov (x) RowCov.
-    """
-    l_row = _chol_lower(params.row_cov)
-    if l_row is None:
-        raise NotPositiveDefiniteError("matrix-normal row covariance is not positive definite")
-    l_col = _chol_lower(params.col_cov)
-    if l_col is None:
-        raise NotPositiveDefiniteError("matrix-normal column covariance is not positive definite")
-    return draw_matrix_normal(params.mean, l_row, l_col, rng)
 
 
 def draw_matrix_normal(mean, l_row, l_col, rng: np.random.Generator) -> np.ndarray:

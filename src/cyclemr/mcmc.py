@@ -7,6 +7,8 @@ entries move by random-walk Metropolis scaled to their own conditionals,
 row by row), an exact matrix-normal Gibbs draw for C, Bernoulli updates
 for the confounding indicators, and a column-wise blocked Gibbs draw for
 the error covariance that preserves positive definiteness by construction.
+C's matrix-normal prior MN(0, Sigma*, tau_c I) enters that last step as
+C C'/tau_c in its scatter and -l/2 in its GIG order.
 
 Only the last step changes Sigma*, so the chain state carries
 Omega = Sigma*^{-1}, log|Sigma*| and the Cholesky factor of Sigma* from
@@ -593,9 +595,10 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     Column j is repartitioned into u = Sigma*[rest, j] and the Schur
     complement v = Sigma*[j, j] - u' Sigma11^-1 u, where Sigma11 holds the
     other rows and columns.  u gets a Gaussian draw whose precision mixes
-    the scatter matrix with the spike-and-slab prior variances, and v a GIG
+    the scatter matrix S with the spike-and-slab prior variances, and v a GIG
     draw.  Reassembly through the Schur complement keeps Sigma* positive
-    definite whenever v > 0.
+    definite whenever v > 0.  S is residual_scatter plus C C'/tau_c from C's
+    matrix-normal prior, whose |Sigma*|^(-l/2) also lowers the GIG order by l/2.
 
     No block is gathered or factored (Wang 2012, "Bayesian graphical lasso
     models and efficient posterior computation", Bayesian Analysis 7(4)).
@@ -617,13 +620,13 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     p = params.p
     n = stats.dims.n
     lam = hyper.lam
-    scatter = residual_scatter(params, stats, hyper.tau_c)
+    resid = residual_scatter(params, stats)  # n R Theta'
     # The log-likelihood is a constant minus (sum(Omega o resid) + n log|Sigma*|) / 2.
-    resid = scatter - params.c @ params.c.T / hyper.tau_c  # n R Theta'
     before = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
-    sigma = params.sigma_star
-    # |Sigma*|^(-n/2) from the likelihood and ^(-l/2) from C's matrix-normal prior.
+    # C's prior MN(0, Sigma*, tau_c I) adds C C'/tau_c to S and |Sigma*|^(-l/2) to the likelihood's ^(-n/2).
+    scatter = resid + params.c @ params.c.T / hyper.tau_c
     order = 1.0 - (n + stats.dims.l) / 2.0
+    sigma = params.sigma_star
 
     prior_prec = np.where(latent.z == 1, 1.0 / hyper.omega1**2, 1.0 / hyper.omega2**2)
     # With K's row and column j zero, this makes coordinate j of column j's
@@ -703,7 +706,7 @@ def initial_state(stats: SummaryStatistics, hyper: Hyperparameters, fixed_b_supp
         phi0 = np.ones((p, k), dtype=int)
 
     params = ModelParameters(a=np.zeros((p, p)), b=b0, c=np.zeros((p, l)), sigma_star=np.eye(p))
-    scatter0 = residual_scatter(params, stats, hyper.tau_c) / dims.n
+    scatter0 = residual_scatter(params, stats) / dims.n
     params.sigma_star = np.diag(np.maximum(np.diag(scatter0), 1e-8))
 
     latent = LatentState(

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .mcmc import SELECTION
+
 
 @dataclass
 class TargetMetrics:
@@ -130,7 +132,7 @@ def evaluate_fit(fit, truth) -> EvaluationReport:
         fit.pip_z[iu], fit.pip_z[iu] >= fit.threshold_z, truth.confounding_truth[iu]
     )
     instruments = None
-    if fit.instrument_mode == "selection":
+    if fit.instrument_mode == SELECTION:
         instruments = _target_metrics(
             fit.pip_b.ravel(), fit.pip_b.ravel() >= fit.threshold_b, truth.b_support.ravel()
         )

@@ -203,12 +203,8 @@ def logabsdet_i_minus_a(a):
 
     Returns None when any pivot magnitude falls below SINGULAR_PIVOT_TOL.
     """
-    return _logabsdet(_identity(a.shape[0]) - a)
-
-
-def _logabsdet(f):
     # LAPACK getrf, as in scipy.linalg.lu_factor; an exact zero pivot is handled below.
-    lu, _, _ = dgetrf(f)
+    lu, _, _ = dgetrf(_identity(a.shape[0]) - a)
     pivots = np.abs(lu.diagonal())
     if pivots.min(initial=1.0) < SINGULAR_PIVOT_TOL:
         return None
@@ -285,12 +281,6 @@ def residual_moments(params: ModelParameters, stats: SummaryStatistics, cols=sli
     return theta @ stats.joint[:, cols], theta
 
 
-def quadratic_form(params: ModelParameters, stats: SummaryStatistics, precision):
-    """The per-sample quadratic Q = tr(P R Theta') of the summary-form likelihood, given P = Sigma*^{-1}."""
-    r, theta = residual_moments(params, stats)
-    return float(np.sum(precision * (r @ theta.T)))
-
-
 def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) -> float:
     """Summary-statistics form of the conditional log-likelihood.
 
@@ -305,20 +295,20 @@ def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) ->
     chol = _chol_lower(params.sigma_star)
     if chol is None:
         return float("-inf")
-    q = quadratic_form(params, stats, _chol_inverse(chol))
+    # The per-sample quadratic Q = tr(Sigma*^{-1} R Theta').
+    r, theta = residual_moments(params, stats)
+    q = float(np.sum(_chol_inverse(chol) * (r @ theta.T)))
     return -0.5 * n * p * LOG_2PI - 0.5 * n * _chol_logdet(chol) + n * ld_f - 0.5 * n * q
 
 
-def residual_scatter(params: ModelParameters, stats: SummaryStatistics, tau_c: float) -> np.ndarray:
-    """Residual scatter matrix driving the error-covariance update.
+def residual_scatter(params: ModelParameters, stats: SummaryStatistics) -> np.ndarray:
+    """The likelihood's residual scatter n R Theta', symmetrized, with R and Theta from residual_moments.
 
-    S = n R Theta' + C C' / tau_c, with R and Theta from residual_moments,
-    and satisfies tr(Sigma*^{-1} S) = n * Q + tr(Sigma*^{-1} C C') / tau_c.
+    On the data that produced the statistics it equals E'E for the raw
+    residuals E = Y (I - A)' - X B' - U C'.  C's prior term enters in step 11.
     """
-    if tau_c <= 0:
-        raise ValueError(f"tau_c must be positive, got {tau_c}")
     r, theta = residual_moments(params, stats)
-    scatter = stats.dims.n * (r @ theta.T) + params.c @ params.c.T / tau_c
+    scatter = stats.dims.n * (r @ theta.T)
     return 0.5 * (scatter + scatter.T)
 
 
@@ -329,10 +319,10 @@ def reduced_form(params: ModelParameters):
     V = (I-A)^{-1} Sigma* (I-A)^{-T}.  Raises on singular (I - A).
     """
     p = params.p
-    f = np.eye(p) - params.a
-    if _logabsdet(f) is None:
+    # One LU of I - A, checked as logabsdet_i_minus_a checks its own.
+    lu, piv, _ = dgetrf(np.eye(p) - params.a)
+    if np.abs(lu.diagonal()).min() < SINGULAR_PIVOT_TOL:
         raise SingularModelError("(I - A) is singular; no reduced form exists")
-    lu, piv = scipy.linalg.lu_factor(f, check_finite=False)
     gx = scipy.linalg.lu_solve((lu, piv), params.b, check_finite=False)
     gu = scipy.linalg.lu_solve((lu, piv), params.c, check_finite=False)
     f_inv = scipy.linalg.lu_solve((lu, piv), np.eye(p), check_finite=False)

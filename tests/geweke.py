@@ -15,9 +15,9 @@ single support block, update_c and a vector column in the Sigma* sweep.
 import numpy as np
 import scipy.linalg
 
-from cyclemr.distributions import MatrixNormalParams, sample_inverse_gamma, sample_matrix_normal
+from cyclemr.distributions import draw_matrix_normal, sample_inverse_gamma
 from cyclemr.mcmc import FIXED_MAP, ChainState, Hyperparameters, LatentState, mcmc_sweep
-from cyclemr.model import ModelParameters, RawDataSet, compute_sufficient_stats
+from cyclemr.model import ModelParameters, RawDataSet, _chol_lower, compute_sufficient_stats
 
 
 def _sample_prior_sigma(p, hyper, rng):
@@ -73,7 +73,7 @@ def sample_prior_state(p, k, hyper, rng, l=0, support=None):
     z.T[iu] = z_off
     c = np.zeros((p, 0))
     if l:
-        c = sample_matrix_normal(MatrixNormalParams(np.zeros((p, l)), sigma, hyper.tau_c * np.eye(l)), rng)
+        c = draw_matrix_normal(np.zeros((p, l)), _chol_lower(sigma), _chol_lower(hyper.tau_c * np.eye(l)), rng)
 
     params = ModelParameters(a=a, b=b, c=c, sigma_star=sigma)
     latent = LatentState(gamma=gamma, rho=rho, tau=tau, phi=phi, psi=psi, eta=eta, z=z)

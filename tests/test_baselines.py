@@ -231,6 +231,13 @@ class TestBaselineEffects:
         with pytest.raises(ValueError, match="individual-level"):
             baseline_effects(stats, "tsls", np.eye(2, dtype=int))
 
+    def test_summary_methods_require_statistics(self):
+        rng = np.random.default_rng(12)
+        data = RawDataSet(y=rng.standard_normal((50, 2)), x=rng.standard_normal((50, 2)), u=np.zeros((50, 0)))
+        for method in ("ratio", "ivw", "median", "wmedian"):
+            with pytest.raises(ValueError, match="summary statistics"):
+                baseline_effects(data, method, np.eye(2, dtype=int))
+
     def test_unknown_method(self):
         stats = bivariate_population_stats(0.0, 0.1, 1.0, 1.0, np.eye(2))
         with pytest.raises(ValueError, match="unknown baseline method"):

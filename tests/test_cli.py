@@ -330,6 +330,17 @@ class TestBaselineCommand:
         imap = np.asarray(read_json(tmp_path / "ivw.json")["instrument_map"])
         assert np.all(imap.sum(axis=0) == 1)
 
+    def test_tsls_non_finite_trait_exits_3(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 50, "--seed", 2, "--out", sim)
+        lines = (sim / "Y.csv").read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        (sim / "Y.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "tsls.json"
+        assert run_cli("baseline", "--data", sim, "--method", "tsls", "--out", out) == 3
+        assert "finite" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_jobs_do_not_change_results(self, tmp_path):

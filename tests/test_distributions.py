@@ -8,25 +8,20 @@ from scipy.special import kv
 
 from cyclemr.distributions import (
     GigParams,
-    MatrixNormalParams,
+    draw_matrix_normal,
     sample_beta,
     sample_bernoulli,
     sample_gig,
     sample_inverse_gamma,
-    sample_matrix_normal,
 )
-from cyclemr.model import LOG_2PI, NotPositiveDefiniteError, _chol_lower
+from cyclemr.model import LOG_2PI, _chol_lower
 
 
-def matrix_normal_logpdf(x, params: MatrixNormalParams) -> float:
-    """Log-density of a matrix-normal draw."""
+def matrix_normal_logpdf(x, mean, l_row, l_col) -> float:
+    """Log-density of a matrix-normal draw, given the lower Cholesky factors of both covariances."""
     x = np.asarray(x, dtype=float)
-    p, l = params.mean.shape
-    l_row = _chol_lower(params.row_cov)
-    l_col = _chol_lower(params.col_cov)
-    if l_row is None or l_col is None:
-        raise NotPositiveDefiniteError("matrix-normal covariance is not positive definite")
-    diff = x - params.mean
+    p, l = mean.shape
+    diff = x - mean
     w = scipy.linalg.solve_triangular(l_row, diff, lower=True, check_finite=False)
     w = scipy.linalg.solve_triangular(l_col, w.T, lower=True, check_finite=False)
     quad = float(np.sum(w * w))
@@ -191,8 +186,7 @@ class TestGig:
 class TestMatrixNormal:
     def test_iid_entries(self):
         rng = np.random.default_rng(5)
-        params = MatrixNormalParams(mean=np.zeros((2, 3)), row_cov=np.eye(2), col_cov=np.eye(3))
-        draws = np.stack([sample_matrix_normal(params, rng) for _ in range(100_000)])
+        draws = np.stack([draw_matrix_normal(np.zeros((2, 3)), np.eye(2), np.eye(3), rng) for _ in range(100_000)])
         var = draws.var(axis=0)
         se = math.sqrt(2.0 / draws.shape[0])  # var of sample variance of N(0,1)
         assert np.all(np.abs(var - 1.0) < 4 * se)
@@ -200,16 +194,16 @@ class TestMatrixNormal:
     def test_mean_translation(self):
         rng = np.random.default_rng(6)
         mean = np.array([[1.0, -2.0], [3.0, 0.5]])
-        params = MatrixNormalParams(mean=mean, row_cov=0.5 * np.eye(2), col_cov=np.eye(2))
-        draws = np.stack([sample_matrix_normal(params, rng) for _ in range(50_000)])
+        l_row = _chol_lower(0.5 * np.eye(2))
+        draws = np.stack([draw_matrix_normal(mean, l_row, np.eye(2), rng) for _ in range(50_000)])
         se = math.sqrt(0.5 / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
     def test_row_covariance(self):
         rng = np.random.default_rng(7)
         row_cov = np.array([[2.0, 1.0], [1.0, 2.0]])
-        params = MatrixNormalParams(mean=np.zeros((2, 1)), row_cov=row_cov, col_cov=np.eye(1))
-        draws = np.stack([sample_matrix_normal(params, rng)[:, 0] for _ in range(100_000)])
+        l_row = _chol_lower(row_cov)
+        draws = np.stack([draw_matrix_normal(np.zeros((2, 1)), l_row, np.eye(1), rng)[:, 0] for _ in range(100_000)])
         emp = np.cov(draws.T, bias=True)
         se = 3.0 / math.sqrt(draws.shape[0])
         assert np.all(np.abs(emp - row_cov) < 4 * se)
@@ -219,20 +213,13 @@ class TestMatrixNormal:
         row_cov = np.array([[2.0, 0.4], [0.4, 1.0]])
         col_cov = np.array([[1.5, -0.2, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.1, 1.2]])
         mean = rng.standard_normal((2, 3))
-        params = MatrixNormalParams(mean=mean, row_cov=row_cov, col_cov=col_cov)
         x = rng.standard_normal((2, 3))
         full_cov = np.kron(col_cov, row_cov)
         expected = scipy.stats.multivariate_normal.logpdf(
             x.ravel(order="F"), mean=mean.ravel(order="F"), cov=full_cov
         )
-        assert matrix_normal_logpdf(x, params) == pytest.approx(expected, abs=1e-10)
-
-    def test_non_pd_raises(self):
-        params = MatrixNormalParams(
-            mean=np.zeros((2, 2)), row_cov=np.array([[1.0, 2.0], [2.0, 1.0]]), col_cov=np.eye(2)
-        )
-        with pytest.raises(Exception):
-            sample_matrix_normal(params, np.random.default_rng(0))
+        logpdf = matrix_normal_logpdf(x, mean, _chol_lower(row_cov), _chol_lower(col_cov))
+        assert logpdf == pytest.approx(expected, abs=1e-10)
 
 
 class TestInverseGamma:
@@ -307,7 +294,7 @@ class TestDeterminism:
         out2 = draw_gig(-3.0, 1.5, 4.0, 50, seed=99)
         np.testing.assert_array_equal(out1, out2)
         rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        mn = MatrixNormalParams(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(sample_matrix_normal(mn, rng1), sample_matrix_normal(mn, rng2))
+        args = (np.zeros((2, 2)), np.eye(2), np.eye(2))
+        np.testing.assert_array_equal(draw_matrix_normal(*args, rng1), draw_matrix_normal(*args, rng2))
         assert sample_inverse_gamma(2.0, 3.0, rng1) == sample_inverse_gamma(2.0, 3.0, rng2)
         assert p1 == GigParams(p_order=-3.0, a=1.5, b=4.0)

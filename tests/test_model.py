@@ -15,7 +15,6 @@ from cyclemr.model import (
     compute_sufficient_stats,
     log_likelihood_raw,
     log_likelihood_summary,
-    quadratic_form,
     reduced_form,
     residual_moments,
     residual_scatter,
@@ -161,9 +160,8 @@ class TestLogLikelihoodSummary:
             s_uu=stats.s_uu.T.copy(),
             dims=stats.dims,
         )
-        prec = np.linalg.inv(params.sigma_star)
-        assert quadratic_form(params, stats, prec) == pytest.approx(
-            quadratic_form(params, flipped, prec), rel=1e-12
+        assert log_likelihood_summary(params, stats) == pytest.approx(
+            log_likelihood_summary(params, flipped), rel=1e-12
         )
 
 
@@ -173,7 +171,7 @@ class TestResidualScatter:
         params, data = random_instance(rng, p=3, k=2, l=1, n=20)
         zero = _params(3, k=2, l=1)
         stats = compute_sufficient_stats(data)
-        np.testing.assert_allclose(residual_scatter(zero, stats, 10.0), 20 * stats.s_yy, atol=1e-10)
+        np.testing.assert_allclose(residual_scatter(zero, stats), 20 * stats.s_yy, atol=1e-10)
 
     def test_a_only_term(self):
         rng = np.random.default_rng(1)
@@ -183,27 +181,22 @@ class TestResidualScatter:
         stats = compute_sufficient_stats(data)
         f = np.eye(3) - a
         np.testing.assert_allclose(
-            residual_scatter(params, stats, 5.0), 15 * f @ stats.s_yy @ f.T, atol=1e-10
+            residual_scatter(params, stats), 15 * f @ stats.s_yy @ f.T, atol=1e-10
         )
 
-    def test_trace_identity(self):
+    def test_equals_raw_residual_cross_product(self):
+        # The likelihood's scatter alone: no term of C's prior, whatever C is.
         rng = np.random.default_rng(9)
         for _ in range(20):
             params, data = random_instance(rng)
-            stats = compute_sufficient_stats(data)
-            tau_c = 7.5
-            scatter = residual_scatter(params, stats, tau_c)
-            prec = np.linalg.inv(params.sigma_star)
-            lhs = float(np.sum(prec * scatter))
-            rhs = stats.dims.n * quadratic_form(params, stats, prec) + float(
-                np.sum(prec * (params.c @ params.c.T))
-            ) / tau_c
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+            resid = data.y @ (np.eye(params.p) - params.a).T - data.x @ params.b.T - data.u @ params.c.T
+            scatter = residual_scatter(params, compute_sufficient_stats(data))
+            np.testing.assert_allclose(scatter, resid.T @ resid, rtol=1e-10, atol=1e-10)
 
     def test_symmetric_psd_on_real_data(self):
         rng = np.random.default_rng(3)
         params, data = random_instance(rng, p=4, k=3, l=1, n=40)
-        scatter = residual_scatter(params, compute_sufficient_stats(data), 10.0)
+        scatter = residual_scatter(params, compute_sufficient_stats(data))
         np.testing.assert_allclose(scatter, scatter.T, atol=1e-10)
         assert np.linalg.eigvalsh(scatter).min() > -1e-8
 

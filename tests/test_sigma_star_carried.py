@@ -41,7 +41,7 @@ def reference_update_sigma_star(state, stats, hyper, rng):
     p = params.p
     n = stats.dims.n
     lam = hyper.lam
-    scatter = residual_scatter(params, stats, hyper.tau_c)
+    scatter = residual_scatter(params, stats) + params.c @ params.c.T / hyper.tau_c
     sigma = params.sigma_star
     order = 1.0 - (n + stats.dims.l) / 2.0
     idx = np.arange(p)

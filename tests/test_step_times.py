@@ -36,7 +36,7 @@ def test_one_tree_against_itself(tmp_path):
 
 
 def test_per_sweep_us():
-    reply = {"sweeps": 4, "sweep_ns": 40_000, "step_ns": {name: 0 for name in step_times.STEPS}}
-    reply["step_ns"].update(update_a=8_000, update_sigma_star=20_000)
+    step_ns = {"update_b": 0, "update_a": 8_000, "update_sigma_star": 20_000}
+    reply = {"sweeps": 4, "sweep_ns": 40_000, "step_ns": step_ns}
     out = step_times.per_sweep_us(reply)
     assert out == {"update_a": 2.0, "update_sigma_star": 5.0, "sweep": 10.0, "outside_steps": 3.0}
