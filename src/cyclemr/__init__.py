@@ -4,9 +4,8 @@ from .model import (
     Dimensions,
     DimensionMismatchError,
     ModelParameters,
-    NotPositiveDefiniteError,
+    NumericalError,
     RawDataSet,
-    SingularModelError,
     SummaryStatistics,
     compute_sufficient_stats,
     log_likelihood_raw,

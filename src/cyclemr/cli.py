@@ -19,6 +19,7 @@ import sys
 import warnings
 import time
 import types
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +221,7 @@ def _baseline_metrics(result, truth):
     pred = result.pvalue[off] < SIGNIFICANCE
     graph = _target_metrics(result.score[off], pred, truth.graph_truth[off])
     dev = deviation_metrics(result.effect, total_effect_matrix(truth.a_true))
-    return {"graph": graph.to_dict(), "effects": DeviationMetrics(*dev).to_dict()}
+    return {"graph": asdict(graph), "effects": asdict(DeviationMetrics(*dev))}
 
 
 def cmd_baseline(args):

@@ -48,6 +48,7 @@ from .distributions import GigParams, draw_matrix_normal, sample_beta, sample_be
 from .distributions import sample_inverse_gamma
 from .model import (
     ModelParameters,
+    NumericalError,
     SummaryStatistics,
     _chol_inverse,
     _chol_logdet,
@@ -79,10 +80,6 @@ MIN_EIG_BLOCK = 100
 # ModelParameters.
 SAMPLED = ("a", "b", "c", "sigma_star", "gamma", "phi", "z")
 INDICATORS = ("gamma", "phi", "z")
-
-
-class NumericalError(ArithmeticError):
-    """The sampler reached a numerically invalid state."""
 
 
 @dataclass
@@ -764,8 +761,9 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
     sweep, and after the last sweep, the cached log-likelihood is replaced by
     a fresh one; the two must be finite and agree to 1e-8 relative, or
-    NumericalError is raised.  Samples of the SAMPLED arrays are kept every
-    config.thin sweeps after burn-in.
+    NumericalError is raised.  A NumericalError from a sweep is raised again
+    with its iteration in front of the message.  Samples of the SAMPLED
+    arrays are kept every config.thin sweeps after burn-in.
 
     sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*.
     No step reads it, so each sweep only copies Sigma* into a block of
@@ -795,7 +793,10 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
 
     for it in range(1, config.iterations + 1):
         state.iteration = it
-        acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
+        try:
+            acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
+        except NumericalError as exc:
+            raise NumericalError(f"iteration {it}: {exc}") from exc
         if it % LOG_LIK_CHECK_EVERY == 0:
             _check_log_lik(state, stats)
         loglik[it - 1] = state.log_lik

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -20,9 +20,6 @@ class TargetMetrics:
     fdr: float
     mcc: float
 
-    def to_dict(self):
-        return {"auc": self.auc, "tpr": self.tpr, "fdr": self.fdr, "mcc": self.mcc}
-
 
 @dataclass
 class DeviationMetrics:
@@ -31,13 +28,6 @@ class DeviationMetrics:
     max_abs_dev: float
     mean_abs_dev: float
     mean_sq_dev: float
-
-    def to_dict(self):
-        return {
-            "max_abs_dev": self.max_abs_dev,
-            "mean_abs_dev": self.mean_abs_dev,
-            "mean_sq_dev": self.mean_sq_dev,
-        }
 
 
 @dataclass
@@ -54,14 +44,8 @@ class EvaluationReport:
     instruments: TargetMetrics | None = None
 
     def to_dict(self):
-        out = {
-            "graph": self.graph.to_dict(),
-            "effects": self.effects.to_dict(),
-            "confounding": self.confounding.to_dict(),
-        }
-        if self.instruments is not None:
-            out["instruments"] = self.instruments.to_dict()
-        return out
+        """The report as nested dicts; a fit without instrument selection has no "instruments" entry."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def roc_auc(scores, truth) -> float:

@@ -29,12 +29,8 @@ class DimensionMismatchError(ValueError):
     """A matrix block has an inconsistent shape; the message names the block."""
 
 
-class SingularModelError(ArithmeticError):
-    """(I - A) is singular, so the model has no finite likelihood."""
-
-
-class NotPositiveDefiniteError(ArithmeticError):
-    """A covariance matrix that must be positive definite is not."""
+class NumericalError(ArithmeticError):
+    """A numerically invalid state, such as a singular (I - A) or a covariance that is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -113,14 +109,12 @@ class SummaryStatistics:
             if not np.isfinite(block).all():
                 raise ValueError(f"{name} has a non-finite entry")
             if name[2] == name[3] and block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):
-                raise DimensionMismatchError(f"{name} is not symmetric")
+                raise ValueError(f"{name} is not symmetric")
         if self.joint.size:
             min_eig = float(np.linalg.eigvalsh(self.joint).min())
             scale = max(1.0, float(np.abs(np.diag(self.joint)).max(initial=0.0)))
             if min_eig < -tol * scale:
-                raise NotPositiveDefiniteError(
-                    f"joint second-moment matrix has eigenvalue {min_eig:.3e} < 0"
-                )
+                raise ValueError(f"joint second-moment matrix has eigenvalue {min_eig:.3e} < 0")
         return self
 
 
@@ -142,24 +136,6 @@ class ModelParameters:
     @property
     def p(self):
         return self.a.shape[0]
-
-    def validate(self):
-        p = self.p
-        _check_shape("A", self.a, (p, p))
-        if self.b.shape[0] != p:
-            raise DimensionMismatchError(f"B has {self.b.shape[0]} rows, expected {p}")
-        if self.c.shape[0] != p:
-            raise DimensionMismatchError(f"C has {self.c.shape[0]} rows, expected {p}")
-        _check_shape("Sigma*", self.sigma_star, (p, p))
-        if np.any(np.diag(self.a) != 0.0):
-            raise ValueError("A has non-zero diagonal entries (self-loops are not allowed)")
-        if not np.allclose(self.sigma_star, self.sigma_star.T, atol=1e-10):
-            raise NotPositiveDefiniteError("Sigma* is not symmetric")
-        if _chol_lower(self.sigma_star) is None:
-            raise NotPositiveDefiniteError("Sigma* is not positive definite")
-        if logabsdet_i_minus_a(self.a) is None:
-            raise SingularModelError("(I - A) is singular")
-        return self
 
 
 @dataclass
@@ -251,8 +227,7 @@ def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:
 def log_likelihood_raw(params: ModelParameters, data: RawDataSet) -> float:
     """Sum of per-sample Gaussian log-densities of (I-A)y - Bx - Cu, plus the Jacobian term.
 
-    Returns -inf for singular (I - A) or non-positive-definite Sigma*, so MH
-    steps can treat invalid proposals as zero-probability rather than abort.
+    Returns -inf for singular (I - A) or non-positive-definite Sigma*.
     """
     dims = data.dims
     p, n = dims.p, dims.n
@@ -285,7 +260,8 @@ def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) ->
     """Summary-statistics form of the conditional log-likelihood.
 
     Equals log_likelihood_raw on the data that produced the statistics.
-    Returns -inf on singular (I - A) or non-PD Sigma*.
+    Returns -inf on singular (I - A) or non-PD Sigma*; initial_state and
+    run_chain's periodic check raise NumericalError on a non-finite value.
     """
     dims = stats.dims
     p, n = dims.p, dims.n
@@ -322,7 +298,7 @@ def reduced_form(params: ModelParameters):
     # One LU of I - A, checked as logabsdet_i_minus_a checks its own.
     lu, piv, _ = dgetrf(np.eye(p) - params.a)
     if np.abs(lu.diagonal()).min() < SINGULAR_PIVOT_TOL:
-        raise SingularModelError("(I - A) is singular; no reduced form exists")
+        raise NumericalError("(I - A) is singular; no reduced form exists")
     gx = scipy.linalg.lu_solve((lu, piv), params.b, check_finite=False)
     gu = scipy.linalg.lu_solve((lu, piv), params.c, check_finite=False)
     f_inv = scipy.linalg.lu_solve((lu, piv), np.eye(p), check_finite=False)

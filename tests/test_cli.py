@@ -244,10 +244,13 @@ class TestFitCommand:
             ("s_yx", lambda block: np.transpose(block).tolist(), 3, "DimensionMismatchError"),
             ("s_yy", lambda block: np.ravel(block).tolist(), 3, "DimensionMismatchError"),
             ("s_yy", {"a": 1}, 3, "ValueError"),
+            ("s_yy", lambda block: [[block[0][0], 50.0, *block[0][2:]], [50.0, *block[1][1:]], *block[2:]], 3,
+             "ValueError"),
+            ("s_yy", lambda block: [[block[0][0], block[0][1] + 1.0, *block[0][2:]], *block[1:]], 3, "ValueError"),
         ],
         ids=[
             "n-string", "p-integral-float", "n-fractional", "n-bool", "n-nan", "n-infinity", "s_yy-infinity",
-            "s_yx-transposed", "s_yy-flat", "s_yy-object",
+            "s_yx-transposed", "s_yy-flat", "s_yy-object", "s_yy-not-psd", "s_yy-asymmetric",
         ],
     )
     def test_malformed_stats_exits_3(self, tmp_path, capsys, key, value, code, error):

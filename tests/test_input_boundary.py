@@ -2,9 +2,10 @@
 
 Each example starts from a valid stats.json, config document and
 --b-support CSV, and breaks exactly one rule that the README states for
-one of them.  The fit must then return exit code 3 (or 4) with a JSON
-error as the last line on stderr, never raise, and leave no output
-directory.  The unbroken inputs fit with exit code 0.
+one of them.  The fit must then return exit code 3 with a "data_error"
+JSON error as the last line on stderr, never raise, and leave no output
+directory: a broken input is malformed data, never a numerical failure.
+The unbroken inputs fit with exit code 0.
 """
 
 import contextlib
@@ -55,6 +56,8 @@ BROKEN = st.one_of(
     breaks("stats", ["s_yx", "s_yu", "s_xu"], "reshape", st.just("transposed")),
     breaks("stats", MOMENT_BLOCKS, "replace", NOT_NUMBERS | st.floats(allow_nan=False)),
     breaks("stats", MOMENT_BLOCKS, "entry", NOT_NUMBERS | NON_FINITE | st.lists(st.floats(), max_size=2)),
+    # The symmetric [0][1]/[1][0] pair, as a multiple of sqrt(d0 d1), makes the block's leading 2 x 2 minor negative.
+    breaks("stats", ["s_yy", "s_xx"], "not_psd", st.floats(10.0, 1e6)),
     breaks("stats", ["n", "p", "k", "l"], "replace", BAD_COUNTS),
     breaks("stats", ["p", "k", "l"], "shift", st.sampled_from([-1, 1])),
     breaks("stats", ["n", "p", "k", "l", *MOMENT_BLOCKS], "drop"),
@@ -115,6 +118,9 @@ def broken(inputs, target, key, how, payload):
         doc[key] = payload
     elif how == "entry":
         doc[key][0][0] = payload
+    elif how == "not_psd":
+        block = doc[key]
+        block[0][1] = block[1][0] = payload * math.sqrt(block[0][0] * block[1][1])
     elif how == "shift":
         doc[key] += payload
     elif how == "drop":
@@ -131,6 +137,6 @@ def broken(inputs, target, key, how, payload):
 @given(BROKEN)
 def test_one_broken_rule_ends_in_a_json_error(valid, case):
     code, err, out_exists = fit(broken(valid, *case))
-    assert code in (3, 4)
-    assert json.loads(err.strip().splitlines()[-1])["error"] in ("data_error", "numerical_error")
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "data_error"
     assert not out_exists

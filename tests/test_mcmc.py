@@ -481,6 +481,21 @@ class TestRunChain:
         with pytest.raises(NumericalError, match="diverged"):
             mcmc._check_log_lik(state, stats)
 
+    def test_numerical_error_in_a_sweep_names_its_iteration(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        exact_step = mcmc.update_sigma_star
+
+        def failing_step(state, *args):
+            if state.iteration == 7:
+                raise NumericalError("Sigma* is not positive definite")
+            return exact_step(state, *args)
+
+        monkeypatch.setattr(mcmc, "update_sigma_star", failing_step)
+        config = McmcConfig(iterations=20, burn_in=5, thin=1, seed=5, hyper=selection_hyper())
+        with pytest.raises(NumericalError, match="^iteration 7: Sigma\\* is not positive definite$"):
+            run_chain(stats, config)
+
     @pytest.mark.parametrize("mode", [SELECTION, FIXED_MAP])
     @pytest.mark.parametrize(
         "iterations",

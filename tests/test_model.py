@@ -9,8 +9,8 @@ from cyclemr.model import (
     Dimensions,
     DimensionMismatchError,
     ModelParameters,
+    NumericalError,
     RawDataSet,
-    SingularModelError,
     SummaryStatistics,
     compute_sufficient_stats,
     log_likelihood_raw,
@@ -274,7 +274,7 @@ class TestReducedForm:
             assert np.linalg.eigvalsh(v).min() > 0
 
     def test_singular_raises(self):
-        with pytest.raises(SingularModelError):
+        with pytest.raises(NumericalError, match="singular"):
             reduced_form(_params(2, a=[[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -327,11 +327,3 @@ class TestModelInvariants:
         emp = resid.T @ resid / n
         rel_err = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
         assert rel_err <= 0.05
-
-    def test_validate_rejects_self_loops(self):
-        with pytest.raises(ValueError, match="self-loops"):
-            _params(2, a=[[0.1, 0.0], [0.0, 0.0]]).validate()
-
-    def test_validate_rejects_singular(self):
-        with pytest.raises(SingularModelError):
-            _params(2, a=[[0.0, 1.0], [1.0, 0.0]]).validate()
