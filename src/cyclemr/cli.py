@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import multiprocessing
+import os
 import shutil
 import sys
 import warnings
 import time
 import types
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,9 @@ EXIT_NUMERIC = 4
 INSTRUMENT_MODES = {"rgm": FIXED_MAP, "rgm-plus": SELECTION}
 MODEL_METHODS = tuple(INSTRUMENT_MODES)
 SIGNIFICANCE = 0.05
+# BLAS thread-pool sizes, read once when a process loads its BLAS.  The sampler's
+# matrices are at most about 20 x 20, so extra BLAS threads only compete for cores.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def derive_seeds(master_seed, index, count):
@@ -127,15 +133,15 @@ def cmd_simulate(args):
 
 
 def _fit_config(doc, method, support):
-    """(config, sample_format) of a config document, validated after method's mode and the map support are set."""
+    """(config, sample_format) of a config document, with method's mode and the map support set in."""
     config, sample_format = config_from_dict(doc)
     if method:
-        config.hyper.instrument_mode = INSTRUMENT_MODES[method]
+        config = replace(config, hyper=replace(config.hyper, instrument_mode=INSTRUMENT_MODES[method]))
     if support is not None:
-        config.fixed_b_support = support
+        config = replace(config, fixed_b_support=support)
     if config.hyper.instrument_mode == FIXED_MAP and config.fixed_b_support is None:
         raise ValueError("fixed-map mode requires --b-support (or a selection-mode config)")
-    return config.validate(), sample_format
+    return config, sample_format
 
 
 def cmd_fit(args):
@@ -265,8 +271,7 @@ def _replicate_metrics(task):
         if method in MODEL_METHODS:
             support = truth.b_support if INSTRUMENT_MODES[method] == FIXED_MAP else None
             config, _ = _fit_config(config_doc, method, support)
-            config.seed = fit_seed
-            chain = run_chain(stats, config)
+            chain = run_chain(stats, replace(config, seed=fit_seed))
             fit = summarize(chain, *thresholds)
             out[method] = evaluate_fit(fit, truth).to_dict()
         else:
@@ -279,6 +284,18 @@ def _replicate_metrics(task):
     return index, {"truth": truth_seed, "data": data_seed, "fit": fit_seed, "baseline": baseline_seed}, out
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set each unset one of BLAS_THREAD_VARS to "1" for the processes spawned inside, and unset it on exit."""
+    unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def cmd_benchmark(args):
     started = time.monotonic()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -286,22 +303,19 @@ def cmd_benchmark(args):
         if method not in MODEL_METHODS + BASELINE_METHODS:
             raise ValueError(f"unknown method {method!r}")
     config_doc = read_json(args.config) if args.config else {}
-    config_from_dict(config_doc)  # validate early
-    jobs = max(1, args.jobs)
+    config_from_dict(config_doc)  # fail on a bad config before any replicate runs
 
     thresholds = (args.threshold_a, args.threshold_b, args.threshold_z)
     tasks = [
         (i, args.case, args.p, args.n, args.t, args.seed, config_doc, methods, thresholds)
         for i in range(args.replicates)
     ]
+    # Every replicate runs in a worker, so that all run under the same BLAS thread count whatever --jobs is.
+    spawn = multiprocessing.get_context("spawn")
     # Entered before the replicates run, so that an unusable --out fails at once.
     with _Workspace(args.out) as ws:
-        if jobs == 1:
-            results = [_replicate_metrics(task) for task in tasks]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_replicate_metrics, tasks))
-        results.sort(key=lambda item: item[0])
+        with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(max(1, args.jobs), mp_context=spawn) as pool:
+            results = list(pool.map(_replicate_metrics, tasks))  # in task order
 
         seed_lines = ["replicate,truth_seed,data_seed,fit_seed,baseline_seed"]
         for index, seeds, _ in results:

@@ -115,7 +115,7 @@ def stats_from_dict(doc) -> SummaryStatistics:
         raise ValueError(f"missing keys in stats document: {sorted(missing)}")
     dims = Dimensions(**{key: _stats_count(key, doc[key]) for key in ("p", "k", "l", "n")})
     blocks = {name: _moment_block(name, doc[name], shape) for name, shape in moment_shapes(dims).items()}
-    return SummaryStatistics(**blocks, dims=dims).validate()
+    return SummaryStatistics(**blocks, dims=dims)
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McmcConfig)}
@@ -133,7 +133,7 @@ def _config_value(name, value):
 
 
 def config_from_dict(doc):
-    """Parse and validate a run configuration document; unknown keys are an error.
+    """Parse a run configuration document, which McmcConfig checks; unknown keys are an error.
 
     The keys are the McmcConfig fields plus sample_format, with the
     dataclass defaults.  Integer fields also accept integral numbers
@@ -152,7 +152,7 @@ def config_from_dict(doc):
         raise ValueError(f"unknown keys in config hyper block: {sorted(unknown_hyper)}")
     kwargs = {name: _config_value(name, value) for name, value in doc.items() if name in _CONFIG_FIELDS}
     kwargs["hyper"] = Hyperparameters(**{name: value for name, value in hyper_doc.items() if name in _HYPER_KEYS})
-    config = McmcConfig(**kwargs).validate()
+    config = McmcConfig(**kwargs)
     sample_format = doc.get("sample_format", "npz")
     if sample_format not in SAMPLE_FORMATS:
         raise ValueError(f"sample_format must be one of {SAMPLE_FORMATS}")

@@ -48,6 +48,7 @@ from .distributions import GigParams, draw_matrix_normal, sample_beta, sample_be
 from .distributions import sample_inverse_gamma
 from .model import (
     ModelParameters,
+    SINGULAR_PIVOT_TOL,
     NumericalError,
     SummaryStatistics,
     _chol_inverse,
@@ -82,9 +83,9 @@ SAMPLED = ("a", "b", "c", "sigma_star", "gamma", "phi", "z")
 INDICATORS = ("gamma", "phi", "z")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparameters:
-    """Fixed prior constants.
+    """Fixed prior constants; building them with an invalid value raises ValueError.
 
     nu1/nu2 are the spike shrink factors for A and B, and lam is both the
     exponential rate on the error-covariance diagonal and the linear GIG
@@ -111,7 +112,7 @@ class Hyperparameters:
     instrument_mode: str = FIXED_MAP
     b_prior_sd: float = 10.0
 
-    def validate(self):
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -131,7 +132,6 @@ class Hyperparameters:
             raise ValueError("omega1/omega2 must not exceed 1000")
         if self.instrument_mode not in (FIXED_MAP, SELECTION):
             raise ValueError(f"unknown instrument_mode {self.instrument_mode!r}")
-        return self
 
 
 @dataclass
@@ -178,10 +178,7 @@ class ChainState:
 
     def refresh_precision(self):
         """Recompute omega, logdet_sigma and chol_sigma from one Cholesky factor of params.sigma_star."""
-        chol = _chol_lower(self.params.sigma_star)
-        if chol is None:
-            raise NumericalError("Sigma* is not positive definite")
-        self.chol_sigma = chol
+        self.chol_sigma = chol = _chol_lower(self.params.sigma_star, "Sigma*")
         self.omega = _chol_inverse(chol)
         self.logdet_sigma = _chol_logdet(chol)
 
@@ -197,8 +194,10 @@ class ChainState:
         return held[2]
 
 
-@dataclass
+@dataclass(frozen=True)
 class McmcConfig:
+    """Chain settings, checked when built.  The 0/1 instrument map is stored as ints; initial_state checks its shape."""
+
     iterations: int = 50_000
     burn_in: int = 10_000
     thin: int = 10
@@ -206,8 +205,7 @@ class McmcConfig:
     hyper: Hyperparameters = field(default_factory=Hyperparameters)
     fixed_b_support: np.ndarray | None = None
 
-    def validate(self):
-        """Check every field and store the 0/1 instrument map as ints; initial_state checks the map's shape."""
+    def __post_init__(self):
         for name in ("iterations", "burn_in", "thin", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -217,9 +215,7 @@ class McmcConfig:
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.fixed_b_support is not None:
-            self.fixed_b_support = indicator_matrix(self.fixed_b_support, "fixed_b_support")
-        self.hyper.validate()
-        return self
+            object.__setattr__(self, "fixed_b_support", indicator_matrix(self.fixed_b_support, "fixed_b_support"))
 
 
 @dataclass
@@ -254,9 +250,7 @@ def _draw_gaussian(prec, linear, normals, what):
     the lower triangle of prec is read, and the factor's strict upper
     triangle is left as prec held it, since both solves read only L.
     """
-    chol = _chol_lower(prec, overwrite=True, clean=False)
-    if chol is None:
-        raise NumericalError(f"{what} precision is not positive definite")
+    chol = _chol_lower(prec, what, overwrite=True, clean=False)
     half, _ = dtrtrs(chol, linear, lower=1)
     half += normals
     draw, _ = dtrtrs(chol, half, lower=1, trans=1, overwrite_b=1)
@@ -380,7 +374,7 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
         np.multiply(s_xx.T, c_j, out=row_prec)  # S_xx' is Fortran-ordered like row_prec
         diagonal += prior_prec[j]
         g = grad[j]
-        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals[j], "B row")
+        new = _draw_gaussian(row_prec, g + c_j * b_sxx[j], normals[j], "B row precision")
         delta = new - b_mat[j]
         b_mat[j] = new
         delta_sxx = delta @ s_xx
@@ -405,7 +399,7 @@ def _update_b_support(state, stats, hyper, rng, grad):
     lik_prec = n * prec[rows[:, None], rows] * sxx_block
     old, g = b_mat[rows, cols], grad[rows, cols]
     normals = rng.standard_normal(old.size)
-    new = _draw_gaussian(lik_prec + prior_prec, g + lik_prec @ old, normals, "B block")
+    new = _draw_gaussian(lik_prec + prior_prec, g + lik_prec @ old, normals, "B block precision")
     delta = new - old
     b_mat[rows, cols] = new
     state.log_lik += float(delta @ g - 0.5 * delta @ lik_prec @ delta)
@@ -510,7 +504,7 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
             if h == j:
                 continue
             denom = 1.0 - step * f * scale
-            if abs(denom) < 1e-12:
+            if abs(denom) < SINGULAR_PIVOT_TOL:
                 continue
             d_ll = n * (log(abs(denom)) + step * g_row[h]) + quad
             log_alpha = d_ll + log_prior
@@ -560,14 +554,9 @@ def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
 
 def _c_column(stats, tau_c):
     """Step 9's column covariance (n S_uu + I/tau_c)^-1 and its lower Cholesky factor."""
-    chol = _chol_lower(stats.dims.n * stats.s_uu + np.eye(stats.dims.l) / tau_c)
-    if chol is None:
-        raise NumericalError("covariate-effect column precision is not positive definite")
-    col_cov = _chol_inverse(chol)
-    col_chol = _chol_lower(col_cov)
-    if col_chol is None:
-        raise NumericalError("covariate-effect column covariance is not positive definite")
-    return col_cov, col_chol
+    col_cov = _chol_inverse(_chol_lower(stats.dims.n * stats.s_uu + np.eye(stats.dims.l) / tau_c,
+                                        "covariate-effect column precision"))
+    return col_cov, _chol_lower(col_cov, "covariate-effect column covariance")
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):
@@ -648,7 +637,7 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         drawn = rng.standard_normal(p - 1)
         normals[:j], normals[j + 1 :] = drawn[:j], drawn[j:]
         # _draw_gaussian factors the lower triangle only, so u_prec needs no symmetrizing.
-        u = _draw_gaussian(u_prec, linear, normals, "error-covariance column")
+        u = _draw_gaussian(u_prec, linear, normals, "error-covariance column precision")
         u[j] = 0.0
 
         t = k_mat @ u
@@ -667,7 +656,8 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
     state.refresh_precision()
     after = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
     state.log_lik -= 0.5 * (after - before)
-    if logabsdet_i_minus_a(params.a) is None or not math.isfinite(state.log_lik):
+    logabsdet_i_minus_a(params.a)  # raises NumericalError on a singular (I - A)
+    if not math.isfinite(state.log_lik):
         raise NumericalError("non-finite log-likelihood after the blocked Gibbs sweep")
 
 
@@ -726,10 +716,7 @@ def _check_log_lik(state: ChainState, stats: SummaryStatistics):
     fresh = log_likelihood_summary(state.params, stats)
     # A non-finite cache fails the comparison; a non-finite fresh value could pass it.
     if not (math.isfinite(fresh) and abs(fresh - state.log_lik) <= 1e-8 * max(1.0, abs(fresh))):
-        raise NumericalError(
-            f"cached log-likelihood diverged at iteration {state.iteration}: "
-            f"cached {state.log_lik!r}, fresh {fresh!r}"
-        )
+        raise NumericalError(f"cached log-likelihood diverged: cached {state.log_lik!r}, fresh {fresh!r}")
     state.log_lik = fresh
 
 
@@ -761,8 +748,8 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
     sweep, and after the last sweep, the cached log-likelihood is replaced by
     a fresh one; the two must be finite and agree to 1e-8 relative, or
-    NumericalError is raised.  A NumericalError from a sweep is raised again
-    with its iteration in front of the message.  Samples of the SAMPLED
+    NumericalError is raised.  A NumericalError from a sweep or a check is
+    raised again with its iteration in front of the message.  Samples of the SAMPLED
     arrays are kept every config.thin sweeps after burn-in.
 
     sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*.
@@ -770,9 +757,7 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     MIN_EIG_BLOCK slots; one eigvalsh call fills each full block's values,
     and one more those of the partial block left after the last sweep.
     """
-    config.validate()
     hyper = config.hyper
-    stats.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = initial_state(stats, hyper, config.fixed_b_support)
 
@@ -791,32 +776,32 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     acc_a_post = tot_a_post = acc_b_post = tot_b_post = 0
     stored = 0
 
-    for it in range(1, config.iterations + 1):
-        state.iteration = it
-        try:
+    try:
+        for it in range(1, config.iterations + 1):
+            state.iteration = it
             acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
-        except NumericalError as exc:
-            raise NumericalError(f"iteration {it}: {exc}") from exc
-        if it % LOG_LIK_CHECK_EVERY == 0:
-            _check_log_lik(state, stats)
-        loglik[it - 1] = state.log_lik
-        slot = (it - 1) % MIN_EIG_BLOCK
-        sigma_block[slot] = params.sigma_star
-        if slot == MIN_EIG_BLOCK - 1:
-            min_eig[it - MIN_EIG_BLOCK : it] = np.linalg.eigvalsh(sigma_block)[:, 0]  # eigenvalues ascend
+            if it % LOG_LIK_CHECK_EVERY == 0:
+                _check_log_lik(state, stats)
+            loglik[it - 1] = state.log_lik
+            slot = (it - 1) % MIN_EIG_BLOCK
+            sigma_block[slot] = params.sigma_star
+            if slot == MIN_EIG_BLOCK - 1:
+                min_eig[it - MIN_EIG_BLOCK : it] = np.linalg.eigvalsh(sigma_block)[:, 0]  # eigenvalues ascend
 
-        if it > burn_in:
-            acc_a_post += acc_a
-            tot_a_post += tot_a
-            acc_b_post += acc_b
-            tot_b_post += tot_b
-            if (it - burn_in - 1) % thin == 0:
-                for kept, owner, name in sources:
-                    kept[stored] = getattr(owner, name)
-                stored += 1
-    # Check the sweeps since the last periodic check too; loglik already holds their cached values.
-    if config.iterations % LOG_LIK_CHECK_EVERY:
-        _check_log_lik(state, stats)
+            if it > burn_in:
+                acc_a_post += acc_a
+                tot_a_post += tot_a
+                acc_b_post += acc_b
+                tot_b_post += tot_b
+                if (it - burn_in - 1) % thin == 0:
+                    for kept, owner, name in sources:
+                        kept[stored] = getattr(owner, name)
+                    stored += 1
+        # Check the sweeps since the last periodic check too; loglik already holds their cached values.
+        if config.iterations % LOG_LIK_CHECK_EVERY:
+            _check_log_lik(state, stats)
+    except NumericalError as exc:
+        raise NumericalError(f"iteration {state.iteration}: {exc}") from exc
     filled = config.iterations % MIN_EIG_BLOCK
     if filled:
         min_eig[-filled:] = np.linalg.eigvalsh(sigma_block[:filled])[:, 0]
@@ -827,5 +812,5 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         sigma_min_eig=min_eig,
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),
         accept_rate_b=acc_b_post / tot_b_post if tot_b_post else float("nan"),
-        config=dataclasses.replace(config),
+        config=config,
     )

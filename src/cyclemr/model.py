@@ -24,6 +24,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Pivot magnitudes below this are treated as a singular (I - A).
 SINGULAR_PIVOT_TOL = 1e-12
 
+# Relative tolerance of SummaryStatistics' symmetry and positive-semidefiniteness checks.
+MOMENT_TOL = 1e-8
+
 
 class DimensionMismatchError(ValueError):
     """A matrix block has an inconsistent shape; the message names the block."""
@@ -70,17 +73,14 @@ def indicator_matrix(value, name):
     return arr.astype(int)
 
 
-def _check_shape(name, arr, shape):
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {shape}")
-
-
 @dataclass(frozen=True)
 class SummaryStatistics:
-    """The six empirical second-moment blocks, the sample size and the read-only joint matrix.
+    """The six empirical second-moment blocks, the sample size and the joint matrix, all read-only.
 
     Blocks are 1/n-scaled raw (uncentered) cross moments; data are assumed
     to be centered by the caller, since the model carries no intercept.
+    Building them raises ValueError unless every block has its shape and
+    finite entries, the square blocks are symmetric and joint is PSD.
     """
 
     s_yy: np.ndarray
@@ -93,29 +93,25 @@ class SummaryStatistics:
     joint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Copies, so that no caller's array aliases a block and drifts from joint.
+        blocks = {name: np.array(getattr(self, name), dtype=float) for name in MOMENT_BLOCKS}
         for name, shape in moment_shapes(self.dims).items():
-            block = np.asarray(getattr(self, name), dtype=float)
-            _check_shape(name, block, shape)
+            if blocks[name].shape != shape:
+                raise DimensionMismatchError(f"{name} has shape {blocks[name].shape}, expected {shape}")
+        for name, block in blocks.items():
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} has a non-finite entry")
+            if name[2] == name[3] and not np.allclose(block, block.T, atol=MOMENT_TOL, rtol=MOMENT_TOL):
+                raise ValueError(f"{name} is not symmetric")
+            block.setflags(write=False)
             object.__setattr__(self, name, block)
         joint = np.block([[self.s_yy, self.s_yx, self.s_yu], [self.s_yx.T, self.s_xx, self.s_xu],
                           [self.s_yu.T, self.s_xu.T, self.s_uu]])
+        min_eig = float(np.linalg.eigvalsh(joint).min())  # joint is at least 1 x 1, since p >= 1
+        if min_eig < -MOMENT_TOL * max(1.0, float(np.abs(np.diag(joint)).max())):
+            raise ValueError(f"joint second-moment matrix has eigenvalue {min_eig:.3e} < 0")
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
-
-    def validate(self, tol=1e-8):
-        """Check that every entry is finite, the square blocks symmetric and the joint matrix PSD."""
-        for name in MOMENT_BLOCKS:
-            block = getattr(self, name)
-            if not np.isfinite(block).all():
-                raise ValueError(f"{name} has a non-finite entry")
-            if name[2] == name[3] and block.size and not np.allclose(block, block.T, atol=tol, rtol=tol):
-                raise ValueError(f"{name} is not symmetric")
-        if self.joint.size:
-            min_eig = float(np.linalg.eigvalsh(self.joint).min())
-            scale = max(1.0, float(np.abs(np.diag(self.joint)).max(initial=0.0)))
-            if min_eig < -tol * scale:
-                raise ValueError(f"joint second-moment matrix has eigenvalue {min_eig:.3e} < 0")
-        return self
 
 
 @dataclass
@@ -177,18 +173,18 @@ def _identity(p):
 def logabsdet_i_minus_a(a):
     """log|det(I - A)| via LU with absolute-value pivot accumulation.
 
-    Returns None when any pivot magnitude falls below SINGULAR_PIVOT_TOL.
+    Raises NumericalError when any pivot magnitude falls below SINGULAR_PIVOT_TOL.
     """
     # LAPACK getrf, as in scipy.linalg.lu_factor; an exact zero pivot is handled below.
     lu, _, _ = dgetrf(_identity(a.shape[0]) - a)
     pivots = np.abs(lu.diagonal())
     if pivots.min(initial=1.0) < SINGULAR_PIVOT_TOL:
-        return None
+        raise NumericalError("(I - A) is singular")
     return float(np.log(pivots).sum())
 
 
-def _chol_lower(sigma, overwrite=False, clean=True):
-    """Lower Cholesky factor of a symmetric matrix, or None if not PD.
+def _chol_lower(sigma, what="matrix", overwrite=False, clean=True):
+    """Lower Cholesky factor of a symmetric matrix; NumericalError("{what} is not positive definite") if it is not PD.
 
     LAPACK is called directly: scipy.linalg.cholesky runs the same routine,
     but at these sizes its argument handling costs more than the factorization.
@@ -199,7 +195,9 @@ def _chol_lower(sigma, overwrite=False, clean=True):
     reader of the lower triangle alone, such as dtrtrs(lower=1), may use it.
     """
     chol, info = dpotrf(sigma, lower=1, clean=clean, overwrite_a=overwrite)
-    return chol if info == 0 else None
+    if info:
+        raise NumericalError(f"{what} is not positive definite")
+    return chol
 
 
 def _chol_inverse(chol_l):
@@ -214,29 +212,22 @@ def _chol_logdet(chol_l):
 
 
 def compute_sufficient_stats(data: RawDataSet) -> SummaryStatistics:
-    """All six 1/n-scaled second-moment blocks of (Y, X, U).
-
-    No centering is applied; callers must center raw data beforehand.
-    """
+    """All six 1/n-scaled second-moment blocks of (Y, X, U), uncentered (see SummaryStatistics)."""
     dims = data.dims
     columns = {"y": data.y, "x": data.x, "u": data.u}
     blocks = {name: columns[name[2]].T @ columns[name[3]] / dims.n for name in MOMENT_BLOCKS}
-    return SummaryStatistics(**blocks, dims=dims).validate()
+    return SummaryStatistics(**blocks, dims=dims)
 
 
 def log_likelihood_raw(params: ModelParameters, data: RawDataSet) -> float:
     """Sum of per-sample Gaussian log-densities of (I-A)y - Bx - Cu, plus the Jacobian term.
 
-    Returns -inf for singular (I - A) or non-positive-definite Sigma*.
+    Raises NumericalError on a singular (I - A) or a Sigma* that is not positive definite.
     """
     dims = data.dims
     p, n = dims.p, dims.n
     ld_f = logabsdet_i_minus_a(params.a)
-    if ld_f is None:
-        return float("-inf")
-    chol = _chol_lower(params.sigma_star)
-    if chol is None:
-        return float("-inf")
+    chol = _chol_lower(params.sigma_star, "Sigma*")
     f = np.eye(p) - params.a
     resid = data.y @ f.T - data.x @ params.b.T - data.u @ params.c.T
     # Solve L w = resid^T so that the quadratic form is ||w||^2 per sample.
@@ -260,17 +251,12 @@ def log_likelihood_summary(params: ModelParameters, stats: SummaryStatistics) ->
     """Summary-statistics form of the conditional log-likelihood.
 
     Equals log_likelihood_raw on the data that produced the statistics.
-    Returns -inf on singular (I - A) or non-PD Sigma*; initial_state and
-    run_chain's periodic check raise NumericalError on a non-finite value.
+    Raises NumericalError on a singular (I - A) or a Sigma* that is not positive definite.
     """
     dims = stats.dims
     p, n = dims.p, dims.n
     ld_f = logabsdet_i_minus_a(params.a)
-    if ld_f is None:
-        return float("-inf")
-    chol = _chol_lower(params.sigma_star)
-    if chol is None:
-        return float("-inf")
+    chol = _chol_lower(params.sigma_star, "Sigma*")
     # The per-sample quadratic Q = tr(Sigma*^{-1} R Theta').
     r, theta = residual_moments(params, stats)
     q = float(np.sum(_chol_inverse(chol) * (r @ theta.T)))

@@ -27,7 +27,8 @@ NOISE_VARIANCE = 9.0
 # zero; interval-uniform draws would leave a fifth of the edges below the
 # n = 10^4 detection scale.
 EFFECT_MAGNITUDE = 0.1
-DEFAULT_RECIPROCAL_PROB = 0.2
+# Probability that a skeleton edge becomes a two-cycle.
+RECIPROCAL_PROB = 0.2
 MIN_DET = 1e-6
 
 
@@ -40,7 +41,6 @@ class CaseSpec:
     n: int
     t: int | None = None
     seed: int = 0
-    reciprocal_prob: float = DEFAULT_RECIPROCAL_PROB
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -78,11 +78,11 @@ def _skeleton(case, p, seed):
     return list(graph.edges())
 
 
-def gen_graph(case, p, seed, reciprocal_prob=DEFAULT_RECIPROCAL_PROB):
+def gen_graph(case, p, seed):
     """Directed adjacency with at least one two-cycle; adj[j, h] = 1 means h -> j.
 
     Each undirected skeleton edge gets a random direction and becomes
-    reciprocal with the given probability; generation is repeated until a
+    reciprocal with probability RECIPROCAL_PROB; generation is repeated until a
     reciprocal pair exists.  For p = 2 the single edge is forced reciprocal.
     """
     if p < 2:
@@ -97,7 +97,7 @@ def gen_graph(case, p, seed, reciprocal_prob=DEFAULT_RECIPROCAL_PROB):
             else:
                 src, dst = j, i
             adj[dst, src] = 1
-            if p == 2 or rng.random() < reciprocal_prob:
+            if p == 2 or rng.random() < RECIPROCAL_PROB:
                 adj[src, dst] = 1
         if np.any(adj * adj.T * (1 - np.eye(p, dtype=int))):
             return adj
@@ -155,7 +155,7 @@ def confounding_truth(d, sigma_noise):
 def gen_truth(spec: CaseSpec) -> SimulationTruth:
     """Ground-truth effects, instrument map, and confounding for one scenario."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    adj = gen_graph(spec.case, spec.p, int(rng.integers(2**31 - 1)), spec.reciprocal_prob)
+    adj = gen_graph(spec.case, spec.p, int(rng.integers(2**31 - 1)))
     a_true = _draw_effects(adj, rng)
     support = _instrument_support(spec.case, spec.p)
     t = spec.t if spec.t is not None else math.ceil(spec.p / 2)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mcmc import SELECTION, Chain
+from .mcmc import Chain
 
 CREDIBLE_LEVEL = 0.95
 
@@ -61,15 +61,14 @@ def _credible_interval(samples):
 def summarize(chain: Chain, threshold_a=0.5, threshold_b=0.5, threshold_z=0.5) -> FitSummary:
     """Posterior inclusion probabilities and thresholded sparsified estimates.
 
-    In fixed-map mode the instrument PIPs are the structural support mask,
-    so downstream consumers see a uniform interface across variants.
+    In fixed-map mode phi never moves, so the instrument PIPs are the structural
+    support mask and downstream consumers see a uniform interface across variants.
     """
     if chain.n_samples == 0:
         raise ValueError("chain holds no stored samples")
-    mode = chain.config.hyper.instrument_mode
     return FitSummary(
         pip_a=chain.gamma.mean(axis=0),
-        pip_b=chain.phi.mean(axis=0) if mode == SELECTION else chain.phi[0].astype(float),
+        pip_b=chain.phi.mean(axis=0),
         pip_z=chain.z.mean(axis=0),
         mean_a=chain.a.mean(axis=0),
         mean_b=chain.b.mean(axis=0),
@@ -82,7 +81,7 @@ def summarize(chain: Chain, threshold_a=0.5, threshold_b=0.5, threshold_z=0.5) -
         threshold_a=threshold_a,
         threshold_b=threshold_b,
         threshold_z=threshold_z,
-        instrument_mode=mode,
+        instrument_mode=chain.config.hyper.instrument_mode,
     )
 
 

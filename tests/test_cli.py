@@ -346,7 +346,10 @@ class TestBaselineCommand:
 
 
 class TestBenchmarkCommand:
-    def test_jobs_do_not_change_results(self, tmp_path):
+    def test_jobs_do_not_change_results(self, tmp_path, monkeypatch):
+        for name in cyclemr.cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)  # so that the workers' BLAS thread cap is set and undone
+        environ = dict(os.environ)
         cfg = small_config(tmp_path)
         outs = []
         for jobs in (1, 2):
@@ -360,6 +363,16 @@ class TestBenchmarkCommand:
             outs.append(out)
         assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
         assert (outs[0] / "seeds.csv").read_bytes() == (outs[1] / "seeds.csv").read_bytes()
+        assert dict(os.environ) == environ
+
+    def test_workers_get_one_blas_thread_unless_set(self, monkeypatch):
+        first, *others = cyclemr.cli.BLAS_THREAD_VARS
+        monkeypatch.setenv(first, "3")
+        for name in others:
+            monkeypatch.delenv(name, raising=False)
+        with cyclemr.cli._one_blas_thread():
+            assert [os.environ[name] for name in (first, *others)] == ["3"] + ["1"] * len(others)
+        assert os.environ[first] == "3" and not any(name in os.environ for name in others)
 
     def test_results_shape(self, tmp_path):
         cfg = small_config(tmp_path)

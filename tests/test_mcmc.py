@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -406,6 +407,19 @@ class TestRunChain:
         assert np.all(chain.b[:, support == 0] == 0.0)
         np.testing.assert_array_equal(chain.phi[0], support)
 
+    def test_configs_check_themselves_and_are_frozen(self):
+        with pytest.raises(ValueError, match="nu1"):
+            Hyperparameters(nu1=2.0)
+        with pytest.raises(ValueError, match="burn_in"):
+            McmcConfig(iterations=10, burn_in=10)
+        config = McmcConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.hyper.nu1 = 2.0
+        with pytest.raises(ValueError, match="nu1"):
+            dataclasses.replace(config.hyper, nu1=2.0)  # replace builds, and so checks, a new one
+
     def test_fixed_map_requires_support(self):
         rng = np.random.default_rng(18)
         stats = make_stats(rng, p=2, k=2)
@@ -469,6 +483,23 @@ class TestRunChain:
         monkeypatch.setattr(mcmc, "mcmc_sweep", drifting_sweep)
         config = McmcConfig(iterations=iterations, burn_in=100, thin=1, seed=5, hyper=selection_hyper())
         with pytest.raises(NumericalError, match=f"iteration {iterations}"):
+            run_chain(stats, config)
+
+    def test_singular_i_minus_a_found_by_the_check_names_its_iteration(self, monkeypatch):
+        # Sigma* stays positive definite and no step reads log|det(I - A)|, so only the periodic check sees this.
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        exact_sweep = mcmc.mcmc_sweep
+
+        def singular_sweep(state, *args):
+            result = exact_sweep(state, *args)
+            if state.iteration == mcmc.LOG_LIK_CHECK_EVERY:
+                state.params.a[...] = [[0.0, 1.0], [1.0, 0.0]]
+            return result
+
+        monkeypatch.setattr(mcmc, "mcmc_sweep", singular_sweep)
+        config = McmcConfig(iterations=1_200, burn_in=100, thin=1, seed=5, hyper=selection_hyper())
+        with pytest.raises(NumericalError, match="^iteration 1000: .*singular"):
             run_chain(stats, config)
 
     @pytest.mark.parametrize("cached, fresh", [(-1.0, -math.inf), (math.nan, -1.0), (-math.inf, -math.inf)])

@@ -15,6 +15,7 @@ from cyclemr.model import (
     compute_sufficient_stats,
     log_likelihood_raw,
     log_likelihood_summary,
+    moment_shapes,
     reduced_form,
     residual_moments,
     residual_scatter,
@@ -72,6 +73,28 @@ class TestSufficientStats:
         with pytest.raises(DimensionMismatchError, match="X"):
             RawDataSet(y=np.zeros((4, 2)), x=np.zeros((12, 1)), u=np.zeros((4, 0))).dims
 
+    def test_joint_matrix_that_is_not_psd_raises_when_built(self):
+        # Each block is finite and symmetric, but |corr(y, x)| = 2 has no data set behind it.
+        blocks = _empty_blocks(p=1, k=1)
+        blocks.update(s_yy=[[1.0]], s_yx=[[2.0]], s_xx=[[1.0]])
+        with pytest.raises(ValueError, match="eigenvalue"):
+            SummaryStatistics(**blocks, dims=Dimensions(p=1, k=1, l=0, n=10))
+
+    def test_blocks_are_read_only_copies(self):
+        s_xx = np.eye(2)
+        blocks = _empty_blocks(p=1, k=2)
+        blocks.update(s_yy=[[1.0]], s_yx=np.zeros((1, 2)), s_xx=s_xx)
+        stats = SummaryStatistics(**blocks, dims=Dimensions(p=1, k=2, l=0, n=10))
+        s_xx[0, 1] = s_xx[1, 0] = 5.0  # the caller's array does not reach the statistics
+        assert stats.s_xx[0, 1] == 0.0 and stats.joint[1, 2] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stats.s_xx[0, 0] = 2.0
+
+
+def _empty_blocks(p, k):
+    """Zero blocks of MOMENT_BLOCKS for p traits, k instruments and no covariates."""
+    return {name: np.zeros(shape) for name, shape in moment_shapes(Dimensions(p=p, k=k, l=0, n=1)).items()}
+
 
 def _params(p, a=None, b=None, c=None, sigma=None, k=0, l=0):
     return ModelParameters(
@@ -101,12 +124,14 @@ class TestLogLikelihoodRaw:
     def test_singular_jacobian_sentinel(self):
         params = _params(2, a=[[0.0, 1.0], [1.0, 0.0]])
         data = RawDataSet(y=np.ones((3, 2)), x=np.zeros((3, 0)), u=np.zeros((3, 0)))
-        assert log_likelihood_raw(params, data) == -np.inf
+        with pytest.raises(NumericalError, match="singular"):
+            log_likelihood_raw(params, data)
 
     def test_non_pd_sigma_sentinel(self):
         params = _params(2, sigma=[[1.0, 2.0], [2.0, 1.0]])
         data = RawDataSet(y=np.ones((3, 2)), x=np.zeros((3, 0)), u=np.zeros((3, 0)))
-        assert log_likelihood_raw(params, data) == -np.inf
+        with pytest.raises(NumericalError, match="Sigma\\* is not positive definite"):
+            log_likelihood_raw(params, data)
 
 
 class TestLogLikelihoodSummary:

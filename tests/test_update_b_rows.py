@@ -9,6 +9,7 @@ log-likelihood alike and consume the same random stream.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -68,8 +69,7 @@ def b_state(p, mode, seed):
     state.latent.phi = (rng.random(state.params.b.shape) < 0.5).astype(int)
     state.latent.phi[0, 0] = 1  # a non-empty fixed-map support
     state.latent.eta = rng.uniform(0.05, 2.0, state.params.b.shape)
-    hyper.instrument_mode = mode
-    return state, stats, hyper
+    return state, stats, dataclasses.replace(hyper, instrument_mode=mode)
 
 
 @pytest.mark.parametrize("mode", [SELECTION, FIXED_MAP])
@@ -109,13 +109,13 @@ def test_update_c_rebuilds_its_per_chain_work_when_its_inputs_change(changed):
     update_c(state, stats, hyper, np.random.default_rng(1))  # fills the per-chain work
     fresh = copy.deepcopy(state)
     fresh._per_chain.clear()
-    new_stats, new_hyper = stats, copy.deepcopy(hyper)
+    new_stats, new_hyper = stats, hyper
     if changed == "stats":
         rng = np.random.default_rng(91)
         y, x, u = rng.standard_normal((40, 3)), rng.standard_normal((40, 3)), 3.0 * rng.standard_normal((40, 1))
         new_stats = compute_sufficient_stats(RawDataSet(y=y, x=x, u=u))
     else:
-        new_hyper.tau_c = 0.01
+        new_hyper = dataclasses.replace(hyper, tau_c=0.01)
     for s in (state, fresh):
         update_c(s, new_stats, new_hyper, np.random.default_rng(2))
     np.testing.assert_array_equal(state.params.c, fresh.params.c)
