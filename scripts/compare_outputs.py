@@ -23,6 +23,9 @@ manifest that still differs is reported with the top-level keys that differ.
 For any other file that differs, the largest relative difference
 |a - b| / max(|a|, |b|) is given for each array in it: each array of an
 npz file, each top-level key of a JSON file, the numbers of a CSV file.
+The comparison reads values as floats, so an npz member present on both
+sides whose dtype or shape changed is also named, as `gamma int8 -> int64`
+or `a shape (10, 2, 2) -> (12, 2, 2)`.
 Exits 0 when every file is identical, 1 otherwise.
 """
 
@@ -138,9 +141,13 @@ def compare_file(rel, parent_root, change_root):
         missing = object()
         keys = [key for key in sorted(set(a) | set(b)) if a.get(key, missing) != b.get(key, missing)]
         return f"{rel}: differs after removing durations and normalizing paths, in: {', '.join(keys)}"
+    changed = []
     if rel.suffix == ".npz":
         with np.load(parent) as a, np.load(change) as b:
             arrays = _pairs({key: a[key] for key in a.files}, {key: b[key] for key in b.files})
+        both = [(key, x, y) for key, (x, y) in arrays.items() if key in a.files and key in b.files]
+        changed = [f"{key} {x.dtype} -> {y.dtype}" for key, x, y in both if x.dtype != y.dtype]
+        changed += [f"{key} shape {x.shape} -> {y.shape}" for key, x, y in both if x.shape != y.shape]
     elif rel.suffix == ".json":
         a, b = json.loads(old), json.loads(new)
         if not (isinstance(a, dict) and isinstance(b, dict)):
@@ -150,7 +157,8 @@ def compare_file(rel, parent_root, change_root):
         arrays = {"numbers": (_csv_numbers(old.decode()), _csv_numbers(new.decode()))}
     diffs = {key: relative_difference(*pair) for key, pair in arrays.items()}
     listed = ", ".join(f"{key} {diff:.3g}" for key, diff in diffs.items() if diff > 0.0)
-    return f"{rel}: differs; largest relative difference: {listed or 'none in numbers'}"
+    line = f"{rel}: differs; largest relative difference: {listed or 'none in numbers'}"
+    return f"{line}; dtype or shape changed: {', '.join(changed)}" if changed else line
 
 
 def _pairs(a, b):

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import RawDataSet, SummaryStatistics
 
@@ -244,5 +244,5 @@ def baseline_effects(source, method, instrument_map, seed=0) -> BaselineResult:
                     )
             effect[j, h] = est
             score[j, h] = abs(est) / se
-            pvalue[j, h] = 2.0 * float(norm.sf(score[j, h]))
+            pvalue[j, h] = 2.0 * float(ndtr(-score[j, h]))
     return BaselineResult(effect=effect, score=score, pvalue=pvalue, method=method)

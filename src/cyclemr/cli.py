@@ -170,7 +170,7 @@ def cmd_fit(args):
             },
         )
         if sample_format == "npz":
-            np.savez_compressed(ws.path("samples.npz"), **{name: getattr(chain, name) for name in SAMPLED})
+            np.savez(ws.path("samples.npz"), **{name: getattr(chain, name) for name in SAMPLED})
         elif sample_format == "csv":
             m = chain.n_samples
             for name in SAMPLED:

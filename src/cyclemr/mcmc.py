@@ -748,8 +748,9 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
     sweep, and after the last sweep, the cached log-likelihood is replaced by
     a fresh one; the two must be finite and agree to 1e-8 relative, or
-    NumericalError is raised.  A NumericalError from a sweep or a check is
-    raised again with its iteration in front of the message.  Samples of the SAMPLED
+    NumericalError is raised.  A NumericalError or ValueError from a sweep or
+    a check (a sampler meeting a NaN) is raised again as a NumericalError
+    with its iteration in front of the message.  Samples of the SAMPLED
     arrays are kept every config.thin sweeps after burn-in.
 
     sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*.
@@ -800,7 +801,7 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
         # Check the sweeps since the last periodic check too; loglik already holds their cached values.
         if config.iterations % LOG_LIK_CHECK_EVERY:
             _check_log_lik(state, stats)
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:  # inputs were checked before the first sweep
         raise NumericalError(f"iteration {state.iteration}: {exc}") from exc
     filled = config.iterations % MIN_EIG_BLOCK
     if filled:

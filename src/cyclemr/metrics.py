@@ -6,7 +6,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .mcmc import SELECTION
 
@@ -48,6 +47,20 @@ class EvaluationReport:
         return {name: value for name, value in asdict(self).items() if value is not None}
 
 
+def average_ranks(values):
+    """1-based ranks of values with ties given their average rank, as scipy.stats.rankdata; all NaN if any is NaN."""
+    values = np.asarray(values, dtype=float).ravel()
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def roc_auc(scores, truth) -> float:
     """Mann-Whitney AUC: P(score+ > score-) + 0.5 P(tie).
 
@@ -61,7 +74,7 @@ def roc_auc(scores, truth) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC AUC needs both a positive and a negative label")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -3,14 +3,17 @@ import json
 import os
 import shutil
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cyclemr.cli
+import cyclemr.mcmc
 from cyclemr.cli import main
 from cyclemr.io import read_json, read_matrix, stats_from_dict, stats_to_dict, write_json, write_matrix
+from cyclemr.mcmc import INDICATORS, SAMPLED, run_chain
 from cyclemr.model import Dimensions, RawDataSet, SummaryStatistics, compute_sufficient_stats
 
 
@@ -298,6 +301,48 @@ class TestFitCommand:
                     "--mode", "rgm-plus")
         assert (f1 / "summary.json").read_bytes() == (f2 / "summary.json").read_bytes()
         assert (f1 / "loglik.csv").read_bytes() == (f2 / "loglik.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["rgm", "rgm-plus"])
+    def test_samples_npz_is_stored_and_holds_the_chain(self, tmp_path, mode):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 80, "--seed", 4, "--out", sim)
+        cfg = small_config(tmp_path)
+        support = ["--b-support", sim / "B_support.csv"] if mode == "rgm" else []
+        fit_dir = tmp_path / "fit"
+        assert run_cli("fit", "--stats", sim / "stats.json", "--config", cfg, "--out", fit_dir, "--mode", mode,
+                       *support) == 0
+        with zipfile.ZipFile(fit_dir / "samples.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        config, _ = cyclemr.cli._fit_config(
+            read_json(cfg), mode, read_matrix(sim / "B_support.csv") if support else None
+        )
+        chain = run_chain(stats_from_dict(read_json(sim / "stats.json")), config)
+        with np.load(fit_dir / "samples.npz") as samples:
+            assert samples.files == list(SAMPLED)
+            for name in SAMPLED:
+                assert samples[name].dtype == (np.int8 if name in INDICATORS else np.float64)
+                assert samples[name].shape[0] == chain.n_samples
+                np.testing.assert_array_equal(samples[name], getattr(chain, name))
+
+    def test_nan_met_inside_a_sweep_exits_4_with_its_iteration(self, tmp_path, monkeypatch, capsys):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--case", "I", "--p", 2, "--n", 80, "--seed", 4, "--out", sim)
+        update_rho = cyclemr.mcmc.update_rho
+
+        def poisoned(state, hyper, rng):  # step 6's inverse-gamma draw then meets a NaN rate
+            update_rho(state, hyper, rng)
+            if state.iteration == 5:
+                state.latent.tau[0, 1] = np.nan
+
+        monkeypatch.setattr(cyclemr.mcmc, "update_rho", poisoned)
+        out = tmp_path / "fit"
+        code = run_cli("fit", "--stats", sim / "stats.json", "--config", small_config(tmp_path), "--out", out,
+                       "--mode", "rgm-plus")
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical_error" and err["type"] == "NumericalError"
+        assert err["message"].startswith("iteration 5: ")
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

@@ -527,6 +527,22 @@ class TestRunChain:
         with pytest.raises(NumericalError, match="^iteration 7: Sigma\\* is not positive definite$"):
             run_chain(stats, config)
 
+    def test_nan_met_by_a_sampler_in_a_sweep_names_its_iteration(self, monkeypatch):
+        # Step 6's inverse-gamma draw raises ValueError on the planted NaN; run_chain reports it as numerical.
+        rng = np.random.default_rng(20)
+        stats = make_stats(rng, p=2, k=2, n=60)
+        exact_step = mcmc.update_rho
+
+        def poisoned_step(state, *args):
+            exact_step(state, *args)
+            if state.iteration == 5:
+                state.latent.tau[0, 1] = np.nan
+
+        monkeypatch.setattr(mcmc, "update_rho", poisoned_step)
+        config = McmcConfig(iterations=20, burn_in=5, thin=1, seed=5, hyper=selection_hyper())
+        with pytest.raises(NumericalError, match="^iteration 5: inverse-gamma parameters must be positive$"):
+            run_chain(stats, config)
+
     @pytest.mark.parametrize("mode", [SELECTION, FIXED_MAP])
     @pytest.mark.parametrize(
         "iterations",

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cyclemr.metrics import classification_metrics, deviation_metrics, roc_auc
+import cyclemr
+from cyclemr.metrics import average_ranks, classification_metrics, deviation_metrics, roc_auc
 
 
 class TestRocAuc:
@@ -39,6 +46,37 @@ class TestRocAuc:
     def test_partial_overlap_value(self):
         # positives (0.8, 0.2), negatives (0.5,): pairs win=1, lose=1 -> 0.5
         assert roc_auc([0.8, 0.2, 0.5], [1, 1, 0]) == 0.5
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(roc_auc([0.8, np.nan, 0.5], [1, 1, 0]))
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_to_scipy_rankdata_on_random_and_tied_inputs(self, seed):
+        from scipy.stats import rankdata  # only here: the package itself does not import scipy.stats
+
+        rng = np.random.default_rng(seed)
+        inputs = [
+            rng.standard_normal(50),
+            rng.integers(0, 4, 60).astype(float),
+            np.r_[rng.standard_normal(10), np.inf, -np.inf, np.inf, 0.0, -0.0],
+            np.full(7, 0.25),
+            np.array([2.0]),
+            np.array([]),
+            np.array([1.0, np.nan, 0.5]),  # rankdata propagates NaN to every rank
+        ]
+        for values in inputs:
+            ranks = average_ranks(values)
+            assert ranks.dtype == np.float64
+            np.testing.assert_array_equal(ranks, rankdata(values))
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    src = str(Path(cyclemr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cyclemr.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestClassificationMetrics:

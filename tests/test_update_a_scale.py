@@ -4,7 +4,9 @@ update_a scales the proposal for A[j, h] from the curvature of that
 entry's own conditional.  A spike entry whose half-Cauchy scale tau has
 shrunk far must therefore keep moving on its own tiny scale instead of
 freezing at 0, and with everything but A held fixed, repeated calls must
-reach the exact conditional of A at n = 30 and at n = 3e4.
+reach the exact conditional of A at n = 30 and at n = 3e4, and at n = 4
+where (I - A) turns singular within three conditional standard deviations
+of the mode.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from cyclemr.mcmc import SELECTION, Hyperparameters, initial_state, update_a
-from cyclemr.model import RawDataSet, compute_sufficient_stats, log_likelihood_summary
+from cyclemr.model import NumericalError, RawDataSet, compute_sufficient_stats, log_likelihood_summary
 
 
 def test_spike_entry_with_tiny_scale_keeps_moving():
@@ -44,10 +46,10 @@ def test_spike_entry_with_tiny_scale_keeps_moving():
     assert state.log_lik == pytest.approx(log_likelihood_summary(state.params, stats), rel=1e-10)
 
 
-def conditional_case(n, seed):
+def conditional_case(n, seed, a10=-0.2, tau=((1.0, 0.5), (0.25, 1.0))):
     """p = 2 state with a cycle, B and Sigma* at their true values, and fixed slab scales."""
     rng = np.random.default_rng(seed)
-    a_true = np.array([[0.0, 0.3], [-0.2, 0.0]])
+    a_true = np.array([[0.0, 0.3], [a10, 0.0]])
     b_true = np.array([[0.8, 0.0], [0.0, 0.6]])
     sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
     x = rng.standard_normal((n, 2))
@@ -59,20 +61,26 @@ def conditional_case(n, seed):
     state.params.b = b_true.copy()
     state.params.sigma_star = sigma.copy()
     state.refresh_precision()
-    state.latent.tau = np.array([[1.0, 0.5], [0.25, 1.0]])
+    state.latent.tau = np.array(tau)
     state.log_lik = log_likelihood_summary(state.params, stats)
     return state, stats, hyper
 
 
 def log_conditional(state, stats, a01, a10):
-    """Log density of (A[0, 1], A[1, 0]) given the rest, up to a constant, at each grid point."""
+    """Log density of (A[0, 1], A[1, 0]) given the rest, up to a constant, at each grid point.
+
+    The density is 0 where (I - A) is singular.
+    """
     params = state.params
     saved = params.a.copy()
     values = np.empty(a01.shape)
     try:
         for index in np.ndindex(a01.shape):
             params.a[0, 1], params.a[1, 0] = a01[index], a10[index]
-            values[index] = log_likelihood_summary(params, stats)
+            try:
+                values[index] = log_likelihood_summary(params, stats)
+            except NumericalError:
+                values[index] = -np.inf
     finally:
         params.a[:] = saved
     tau = state.latent.tau  # both entries sit in the slab: prior variance tau
@@ -80,7 +88,9 @@ def log_conditional(state, stats, a01, a10):
 
 
 def quadrature_moments(state, stats, points=161, width=9.0):
-    """Means and variances of A[0, 1] and A[1, 0] under their joint conditional, on a 2-D grid.
+    """(mode, means, variances, beyond) of A[0, 1] and A[1, 0] under their joint conditional, on a 2-D grid.
+
+    beyond is the conditional's mass where det(I - A) < 0.
 
     The grid spans width marginal standard deviations of the Laplace fit on
     each side of the conditional's mode, found by Newton steps on a
@@ -113,25 +123,48 @@ def quadrature_moments(state, stats, points=161, width=9.0):
     assert edge < 1e-8
     means = np.array([(w * a01).sum(), (w * a10).sum()])
     variances = np.array([(w * (a01 - means[0]) ** 2).sum(), (w * (a10 - means[1]) ** 2).sum()])
-    return means, variances
+    return mode, means, variances, w[a01 * a10 > 1.0].sum()
+
+
+def a_draws(state, stats, hyper, calls=20_000, burn=200):
+    """(A[0, 1], A[1, 0]) after each of calls update_a calls, the first burn left out."""
+    rng = np.random.default_rng(43)
+    draws = np.empty((calls, 2))
+    for t in range(calls):
+        update_a(state, stats, hyper, rng)
+        draws[t] = state.params.a[0, 1], state.params.a[1, 0]
+    return draws[burn:]
+
+
+def assert_batch_means_match(values, expected, batches=50):
+    """Each column of values averages to its expected value within 4 batch-means standard errors."""
+    usable = values.shape[0] // batches * batches
+    batch_means = values[:usable].reshape(batches, -1, values.shape[1]).mean(axis=1)
+    se = batch_means.std(axis=0, ddof=1) / math.sqrt(batches)
+    z = (batch_means.mean(axis=0) - expected) / se
+    assert np.all(np.abs(z) < 4), (z, expected)
+
 
 
 @pytest.mark.parametrize("n", [30, 30_000])
 def test_repeated_a_steps_reach_the_exact_conditional(n):
     state, stats, hyper = conditional_case(n, seed=41)
-    means, variances = quadrature_moments(state, stats)
-    rng = np.random.default_rng(43)
-    calls, burn = 20_000, 200
-    draws = np.empty((calls, 2))
-    for t in range(calls):
-        update_a(state, stats, hyper, rng)
-        draws[t] = state.params.a[0, 1], state.params.a[1, 0]
-    draws = draws[burn:]
-    batches = 50
-    usable = draws.shape[0] // batches * batches
-    for values, expected in ((draws, means), ((draws - means) ** 2, variances)):
-        batch_means = values[:usable].reshape(batches, -1, 2).mean(axis=1)
-        se = batch_means.std(axis=0, ddof=1) / math.sqrt(batches)
-        z = (batch_means.mean(axis=0) - expected) / se
-        assert np.all(np.abs(z) < 4), (z, expected)
+    _, means, variances, _ = quadrature_moments(state, stats)
+    draws = a_draws(state, stats, hyper)
+    assert_batch_means_match(draws, means)
+    assert_batch_means_match((draws - means) ** 2, variances)
+    assert state.log_lik == pytest.approx(log_likelihood_summary(state.params, stats), rel=1e-8)
+
+
+def test_repeated_a_steps_reach_the_exact_conditional_next_to_a_singular_point():
+    # det(I - A) = 1 - A[0, 1] A[1, 0].  At n = 4, with A[1, 0] near 2.5, it vanishes at A[0, 1] = 1/A[1, 0],
+    # within 3 conditional standard deviations of the mode, and a share of the mass lies beyond, where det < 0.
+    state, stats, hyper = conditional_case(4, seed=41, a10=2.5, tau=((1.0, 1.0), (4.0, 1.0)))
+    mode, means, variances, beyond = quadrature_moments(state, stats, width=14.0)
+    assert (1.0 / mode[1] - mode[0]) / math.sqrt(variances[0]) < 3.0
+    assert 0.005 < beyond < 0.05
+    draws = a_draws(state, stats, hyper)
+    assert_batch_means_match(draws, means)
+    assert_batch_means_match((draws - means) ** 2, variances)
+    assert_batch_means_match((draws[:, :1] * draws[:, 1:] > 1.0).astype(float), [beyond])
     assert state.log_lik == pytest.approx(log_likelihood_summary(state.params, stats), rel=1e-8)
