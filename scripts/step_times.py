@@ -1,4 +1,4 @@
-"""Time each of the eleven update steps per sweep in two source trees, in alternating rounds; writes JSON.
+"""Time each update step per sweep in two source trees, in alternating rounds; writes JSON.
 
 Usage, from anywhere:
 
@@ -9,14 +9,15 @@ Each tree is a checkout holding src/ and perfbench/.  One worker
 subprocess per tree imports cyclemr from that tree's src/ with one BLAS
 thread, builds the workload's summary statistics from that tree's
 perfbench/workloads.py on data seed DATA_SEED, and starts one chain from
-seed CHAIN_SEED.  It replaces each step that UPDATE_STEPS in the tree's
-perfbench/tracing.py names by a timing wrapper in cyclemr.mcmc, where
-mcmc_sweep looks them up, and times each mcmc_sweep call; nothing below
-the step level is wrapped, so a sweep pays one wrapper per step.  The
-chain runs --warmup sweeps untimed; then each of --rounds rounds asks both
-workers for --sweeps sweeps, the parent first in even rounds and the change
-first in odd ones, so that a drift of the machine's speed does not favour
-one side.
+seed CHAIN_SEED.  In a tree that has mcmc.collapse_covariates, the chain
+sweeps on its covariate-free statistics, as run_chain does.  It replaces
+each step that UPDATE_STEPS in the tree's perfbench/tracing.py names by a
+timing wrapper in cyclemr.mcmc, where mcmc_sweep looks them up, and times
+each mcmc_sweep call; nothing below the step level is wrapped, so a sweep
+pays one wrapper per step.  The chain runs --warmup sweeps untimed; then
+each of --rounds rounds asks both workers for --sweeps sweeps, the parent
+first in even rounds and the change first in odd ones, so that a drift of
+the machine's speed does not favour one side.
 
 The coordinator takes the step names from the workers' replies.  The
 output holds, per step and for the whole sweep, each side's median and
@@ -90,8 +91,10 @@ def worker(tree, workload_name):
         raise SystemExit(f"step_times: imported cyclemr from {cyclemr.__file__}, not from {src}")
     workload = workloads.WORKLOADS[workload_name]
     truth, _, raw = workloads.simulate(workload, DATA_SEED)
-    stats = compute_sufficient_stats(raw)
     hyper = mcmc.Hyperparameters(instrument_mode=INSTRUMENT_MODES[workload.mode])
+    stats = compute_sufficient_stats(raw)
+    if hasattr(mcmc, "collapse_covariates"):
+        stats, _ = mcmc.collapse_covariates(stats, hyper)
     support = truth.b_support if hyper.instrument_mode == mcmc.FIXED_MAP else None
     state = mcmc.initial_state(stats, hyper, support)
     rng = np.random.Generator(np.random.PCG64(CHAIN_SEED))

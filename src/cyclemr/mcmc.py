@@ -1,29 +1,27 @@
-"""Eleven-step Markov kernel for the cyclic SEM, chain management, and variants.
+"""Ten-step Markov kernel for the cyclic SEM, chain management, and variants.
 
 One iteration applies, in order: Beta updates for the instrument-slab
 weights, the half-Cauchy scale hierarchy and inclusion indicators for B,
 an exact blocked Gibbs draw of B, the mirrored four updates for A (whose
 entries move by random-walk Metropolis scaled to their own conditionals,
-row by row), an exact matrix-normal Gibbs draw for C, Bernoulli updates
-for the confounding indicators, and a column-wise blocked Gibbs draw for
-the error covariance that preserves positive definiteness by construction.
-C's matrix-normal prior MN(0, Sigma*, tau_c I) enters that last step as
-C C'/tau_c in its scatter and -l/2 in its GIG order.
+row by row), Bernoulli updates for the confounding indicators, and a
+column-wise blocked Gibbs draw for the error covariance that preserves
+positive definiteness by construction.
+
+The sweep holds no covariate effects: run_chain integrates C out once
+(collapse_covariates), and update_c draws C for the kept draws after it.
 
 Only the last step changes Sigma*, so the chain state carries
-Omega = Sigma*^{-1}, log|Sigma*| and the Cholesky factor of Sigma* from
-one sweep to the next.  Steps 4, 8, 9 and 11 read them; step 11 keeps
-Omega current column by column and refreshes all three from one fresh
-Cholesky factor of Sigma* after its last column.
+Omega = Sigma*^{-1} and log|Sigma*| from one sweep to the next; step 10
+keeps Omega current column by column and refreshes both after its last.
 
-No accept/reject decision reads the cached log-likelihood: steps 4, 8, 9
-and 11 advance it by exact increments, and run_chain checks it against a
-fresh one after every LOG_LIK_CHECK_EVERY-th sweep and after the last.
+No accept/reject decision reads the cached log-likelihood: steps 4, 8 and
+10 advance it by exact increments, and run_chain checks it against a fresh
+one after every LOG_LIK_CHECK_EVERY-th sweep and after the last.
 
 Work that depends only on the statistics and the hyperparameters, such as
-B's fixed support, C's column covariance, S_yy for step 8 and step 11's
-scratch buffers, is built once per chain and held on the state
-(ChainState.per_chain).
+B's fixed support, S_yy for step 8 and step 10's scratch buffers, is built
+once per chain and held on the state (ChainState.per_chain).
 
 Two variants share the kernel: a fixed instrument map with plain normal
 priors on the structurally non-zero entries of B, and full spike-and-slab
@@ -89,13 +87,9 @@ class Hyperparameters:
 
     nu1/nu2 are the spike shrink factors for A and B, and lam is both the
     exponential rate on the error-covariance diagonal and the linear GIG
-    rate.  No proposal is tuned: B is drawn exactly, and step 8 scales
-    each A proposal from its entry's conditional.
-
-    The default nu1 is much smaller than nu2 because causal effects live
-    on a far smaller scale than instrument effects; a 1e-2 shrink leaves
-    the spike wide enough to swallow every causal effect the slab should
-    capture.
+    rate.  The default nu1 is much smaller than nu2 because causal effects
+    live on a far smaller scale than instrument effects: a 1e-2 shrink
+    leaves the spike wide enough to swallow every causal effect.
     """
 
     nu1: float = 1e-4
@@ -155,13 +149,12 @@ class LatentState:
 class ChainState:
     """One point of the chain with its cached summary log-likelihood.
 
-    omega = Sigma*^{-1}, logdet_sigma = log|Sigma*| and chol_sigma, the
-    lower Cholesky factor of Sigma*, are carried with the state and
-    derived from params.sigma_star on construction.  Code that assigns
-    params.sigma_star by hand must call refresh_precision afterwards, or
-    steps 4, 8, 9 and 11 read a stale Omega; code that assigns any
-    parameter by hand must reset log_lik too.  per_chain holds work that
-    the steps build once per chain.
+    omega = Sigma*^{-1} and logdet_sigma = log|Sigma*| are carried with
+    the state and derived from params.sigma_star on construction.  Code
+    that assigns params.sigma_star by hand must call refresh_precision
+    afterwards, or steps 4, 8 and 10 read a stale Omega; code that assigns
+    any parameter by hand must reset log_lik too.  per_chain holds work
+    that the steps build once per chain.
     """
 
     params: ModelParameters
@@ -170,15 +163,14 @@ class ChainState:
     iteration: int = 0
     omega: np.ndarray = field(init=False, repr=False)
     logdet_sigma: float = field(init=False, repr=False)
-    chol_sigma: np.ndarray = field(init=False, repr=False)
     _per_chain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.refresh_precision()
 
     def refresh_precision(self):
-        """Recompute omega, logdet_sigma and chol_sigma from one Cholesky factor of params.sigma_star."""
-        self.chol_sigma = chol = _chol_lower(self.params.sigma_star, "Sigma*")
+        """Recompute omega and logdet_sigma from one Cholesky factor of params.sigma_star."""
+        chol = _chol_lower(self.params.sigma_star, "Sigma*")
         self.omega = _chol_inverse(chol)
         self.logdet_sigma = _chol_logdet(chol)
 
@@ -339,17 +331,13 @@ def update_b(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     The cached log-likelihood advances by the exact quadratic increment
     delta' g - delta' L delta / 2.
 
-    In fixed-map mode phi never changes, so the support, its S_xx blocks
-    and the prior precision are built once per chain.  In selection mode
-    row j has L = c_j S_xx with c_j = n Omega[j, j]; its precision is
-    written into one Fortran-ordered buffer and factored in place, and
-    L b_j = c_j (B S_xx)[j] comes from one product before the loop, since
-    row j is unchanged until its turn.  Every row's standard normals come
-    from one draw before the loop too; no other draw comes between the
-    rows, so the random stream is that of one draw per row.  delta' S_xx
-    serves both the increment and the rank-one gradient update
-    n Omega[:, j] (delta' S_xx).  Returns (drawn, drawn): every draw is
-    accepted.
+    In fixed-map mode the support, its S_xx blocks and the prior precision
+    are built once per chain.  In selection mode row j has L = c_j S_xx
+    with c_j = n Omega[j, j], factored in place in one buffer;
+    L b_j = c_j (B S_xx)[j] and all rows' normals come from one product and
+    one draw before the loop.  delta' S_xx serves both the increment and
+    the rank-one gradient update n Omega[:, j] (delta' S_xx).  Returns
+    (drawn, drawn): every draw is accepted.
     """
     params, latent = state.params, state.latent
     n = stats.dims.n
@@ -447,23 +435,18 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     curvature without the log-det term, with v its spike or slab prior
     variance.  It does not depend on A, so the walk stays symmetric.
 
-    Every entry is proposed once per sweep, so when its turn comes it still
-    holds its value from the start of the sweep.  One vectorized pass
-    therefore gives every entry its step delta, its prior term
+    Each entry still holds its start-of-sweep value when its turn comes,
+    so one vectorized pass gives every entry its step delta, its prior term
     -delta (2a + delta)/(2v) and the -(n/2) delta^2 Omega[j, j] S_yy[h, h]
-    part of its quadratic change; diag(S_yy) and the rows of S_yy as Python
-    floats are built once per chain.
+    part of its quadratic change.
 
     Moving A[j, h] by delta multiplies det(I - A) by 1 - delta F[h, j], with
-    F = (I - A)^{-1}, and shifts row j of the quadratic gradient
-    Omega R_y (model.residual_moments) by -delta Omega[j, j] S_yy[h, :].  The
-    proposals of row j read only column j of F, which each accepted move
-    divides by its determinant ratio, and the entries of row j of the
-    gradient still to be proposed, so both are held as Python floats while
-    the row is proposed.  After the row, one Sherman-Morrison update carries
-    its whole change Delta into F, and one rank-one update,
-    -Omega[:, j] (Delta' S_yy), into the gradient.
-    Proposals that would make (I - A) singular are rejected.
+    F = (I - A)^{-1}, and shifts row j of the gradient Omega R_y by
+    -delta Omega[j, j] S_yy[h, :].  Row j reads only column j of F and row j
+    of the gradient, held as Python floats while the row is proposed; after
+    the row, one Sherman-Morrison update carries its change Delta into F and
+    one rank-one update into the gradient.  Proposals that would make
+    (I - A) singular are rejected.
     """
     params, latent = state.params, state.latent
     p = params.p
@@ -529,43 +512,64 @@ def update_a(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters
     return accepted, proposed
 
 
-def update_c(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
-    """Step 9: exact matrix-normal Gibbs draw of the covariate effects (skipped when l = 0).
+def _covariate_factor(stats, hyper):
+    """Lower Cholesky factor of P = S_uu + I/(n tau_c); the ridge keeps P positive definite when S_uu is singular."""
+    return _chol_lower(stats.s_uu + np.eye(stats.dims.l) / (stats.dims.n * hyper.tau_c), "covariate precision")
 
-    The column covariance (n S_uu + I/tau_c)^-1 and its factor are built
-    once per chain, and the row factor is the carried Cholesky factor of
-    Sigma*.
+
+def collapse_covariates(stats: SummaryStatistics, hyper: Hyperparameters):
+    """(covariate-free statistics, log-likelihood offset): C integrated out of the likelihood and its prior.
+
+    C's prior MN(0, Sigma*, tau_c I) is conjugate, so integrating C out
+    leaves the covariate-free likelihood on the moments
+    J~ = J[yx, yx] - J[yx, u] P^-1 J[u, yx], with P = S_uu + I/(n tau_c),
+    plus the constant -(p/2) log|I + n tau_c S_uu| = -(p/2) (l log(n tau_c)
+    + log|P|) (Gupta & Nagar 2000, Matrix Variate Distributions).  J~ is
+    PSD.  With l = 0 the statistics come back unchanged, with offset 0.
     """
-    if stats.dims.l == 0:
-        return
-    params = state.params
-    n = stats.dims.n
-    col_cov, col_chol = state.per_chain(
-        "c_column", stats, (hyper.tau_c,), lambda: _c_column(stats, hyper.tau_c)
+    dims = stats.dims
+    p, k, l = dims.p, dims.k, dims.l
+    if l == 0:
+        return stats, 0.0
+    yx, u = slice(0, p + k), slice(p + k, None)
+    chol = _covariate_factor(stats, hyper)
+    half, _ = dtrtrs(chol, stats.joint[u, yx], lower=1)  # L^-1 J[u, yx], with P = L L'
+    moments = stats.joint[yx, yx] - half.T @ half
+    collapsed = SummaryStatistics(
+        s_yy=moments[:p, :p], s_yx=moments[:p, p:], s_yu=np.zeros((p, 0)),
+        s_xx=moments[p:, p:], s_xu=np.zeros((k, 0)), s_uu=np.zeros((0, 0)),
+        dims=dataclasses.replace(dims, l=0),
     )
-    r_u, _ = residual_moments(params, stats, slice(params.p + stats.dims.k, None))
-    mean = n * (r_u + params.c @ stats.s_uu) @ col_cov
-    c_old = params.c
-    params.c = draw_matrix_normal(mean, state.chol_sigma, col_chol, rng)
-    delta = params.c - c_old
-    # C + Delta moves Q = tr(Omega R Theta') by tr(Delta' Omega (Delta S_uu - 2 R_u)).
-    state.log_lik -= 0.5 * n * float(np.vdot(state.omega @ delta, delta @ stats.s_uu - 2.0 * r_u))
+    return collapsed, -0.5 * p * (l * math.log(dims.n * hyper.tau_c) + _chol_logdet(chol))
 
 
-def _c_column(stats, tau_c):
-    """Step 9's column covariance (n S_uu + I/tau_c)^-1 and its lower Cholesky factor."""
-    col_cov = _chol_inverse(_chol_lower(stats.dims.n * stats.s_uu + np.eye(stats.dims.l) / tau_c,
-                                        "covariate-effect column precision"))
-    return col_cov, _chol_lower(col_cov, "covariate-effect column covariance")
+def update_c(a, b, sigma_star, stats: SummaryStatistics, hyper: Hyperparameters, rng):
+    """Covariate effects for a stack of kept draws of A, B and Sigma*: an array (draws, p, l), empty when l = 0.
+
+    Given A, B and Sigma*, C's full conditional is MN(M, Sigma*, (n P)^-1),
+    with P = S_uu + I/(n tau_c) and M = [I - A, -B] J[yx, u] P^-1, so these
+    draws complete a chain run on collapse_covariates' statistics to draws
+    of the joint posterior.
+    """
+    dims = stats.dims
+    p, k, l = dims.p, dims.k, dims.l
+    if l == 0:
+        return np.zeros((len(a), p, 0))
+    p_inv = _chol_inverse(_covariate_factor(stats, hyper))
+    theta = -np.concatenate((a, b), axis=2)
+    theta[:, range(p), range(p)] += 1.0
+    mean = theta @ (stats.joint[: p + k, p + k :] @ p_inv)
+    col_chol = _chol_lower(p_inv / dims.n, "covariate-effect column covariance")
+    return draw_matrix_normal(mean, np.linalg.cholesky(sigma_star), col_chol, rng)
 
 
 def confounding_probability(sigma_values, hyper: Hyperparameters):
-    """Step 10 slab probability for off-diagonal error-covariance entries: slab variance omega1^2, spike omega2^2."""
+    """Step 9 slab probability for off-diagonal error-covariance entries: slab variance omega1^2, spike omega2^2."""
     return _inclusion_probability(sigma_values, hyper.omega1**2, (hyper.omega2 / hyper.omega1) ** 2, hyper.pi_z)
 
 
 def update_z(state: ChainState, hyper: Hyperparameters, rng):
-    """Step 10: Bernoulli refresh of the symmetric confounding indicators."""
+    """Step 9: Bernoulli refresh of the symmetric confounding indicators."""
     latent = state.latent
     sigma = state.params.sigma_star
     p = sigma.shape[0]
@@ -576,48 +580,36 @@ def update_z(state: ChainState, hyper: Hyperparameters, rng):
 
 
 def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperparameters, rng):
-    """Step 11: column-wise blocked Gibbs draw of the error covariance.
+    """Step 10: column-wise blocked Gibbs draw of the error covariance.
 
     Column j is repartitioned into u = Sigma*[rest, j] and the Schur
     complement v = Sigma*[j, j] - u' Sigma11^-1 u, where Sigma11 holds the
     other rows and columns.  u gets a Gaussian draw whose precision mixes
-    the scatter matrix S with the spike-and-slab prior variances, and v a GIG
-    draw.  Reassembly through the Schur complement keeps Sigma* positive
-    definite whenever v > 0.  S is residual_scatter plus C C'/tau_c from C's
-    matrix-normal prior, whose |Sigma*|^(-l/2) also lowers the GIG order by l/2.
+    the scatter S = n R Theta' with the spike-and-slab prior variances, and
+    v a GIG draw.  Reassembly keeps Sigma* positive definite whenever v > 0.
 
-    No block is gathered or factored (Wang 2012, "Bayesian graphical lasso
-    models and efficient posterior computation", Bayesian Analysis 7(4)).
-    With w = Omega[:, j] of the carried Omega, Sigma11^-1 = Omega11 - w w'/w_j
-    and the current v = 1/w_j; Sigma11^-1 is held as the p x p matrix
-    K = Omega - w w'/w_j with row and column j zero.  Column j's precision
-    w_j K S K + lam K + diag(prior) is built in one Fortran-ordered buffer,
-    held per chain with the other scratch arrays, and factored in place.
-    Its coordinate j is uncoupled from the others, and what it draws is set
-    to zero.  Then t = K u with t[j] = -1 gives the GIG quadratic t' S t
-    and Sigma*[j, j] = v + u' t, and one rank-one
-    update K + t t'/v rebuilds the whole of Omega, row and column j
-    included: Omega11 = K + t t'/v, Omega[rest, j] = -t/v and
-    Omega[j, j] = 1/v.  After the last column one Cholesky factor of Sigma*
-    refreshes Omega and log|Sigma*|, so rounding drift never outlives a
-    sweep, and a Sigma* that is not positive definite raises NumericalError.
+    No block is gathered or factored (Wang 2012, Bayesian Analysis 7(4)).
+    With w = Omega[:, j], Sigma11^-1 is held as the p x p matrix
+    K = Omega - w w'/w_j with row and column j zero, and the current
+    v = 1/w_j.  Column j's precision w_j K S K + lam K + diag(prior) is
+    factored in place in a per-chain buffer; its uncoupled coordinate j is
+    drawn and discarded.  t = K u with t[j] = -1 gives the GIG quadratic
+    t' S t and Sigma*[j, j] = v + u' t, and K + t t'/v rebuilds the whole of
+    Omega.  After the last column one Cholesky factor of Sigma* refreshes
+    Omega and log|Sigma*|, so rounding drift never outlives a sweep.
     """
     params, latent = state.params, state.latent
     p = params.p
     n = stats.dims.n
     lam = hyper.lam
-    resid = residual_scatter(params, stats)  # n R Theta'
-    # The log-likelihood is a constant minus (sum(Omega o resid) + n log|Sigma*|) / 2.
-    before = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
-    # C's prior MN(0, Sigma*, tau_c I) adds C C'/tau_c to S and |Sigma*|^(-l/2) to the likelihood's ^(-n/2).
-    scatter = resid + params.c @ params.c.T / hyper.tau_c
-    order = 1.0 - (n + stats.dims.l) / 2.0
+    scatter = residual_scatter(params, stats)  # n R Theta'
+    # The log-likelihood is a constant minus (sum(Omega o scatter) + n log|Sigma*|) / 2.
+    before = float(np.vdot(state.omega, scatter)) + n * state.logdet_sigma
+    order = 1.0 - n / 2.0
     sigma = params.sigma_star
 
     prior_prec = np.where(latent.z == 1, 1.0 / hyper.omega1**2, 1.0 / hyper.omega2**2)
-    # With K's row and column j zero, this makes coordinate j of column j's
-    # precision one and uncoupled from the others, so it cannot move them.
-    prior_prec.ravel()[:: p + 1] = 1.0
+    prior_prec.ravel()[:: p + 1] = 1.0  # K's row and column j are zero, so coordinate j is uncoupled
     k_mat = state.omega  # K while column j is drawn, Omega again after it
     # Entry j of the normals feeds only the uncoupled coordinate, so a draw left there from before is harmless.
     scratch = state.per_chain("sigma_columns", stats, (), lambda: _sigma_scratch(p))
@@ -654,7 +646,7 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
         _add_outer(k_mat, 1.0 / v_new, t, t)
 
     state.refresh_precision()
-    after = float(np.vdot(state.omega, resid)) + n * state.logdet_sigma
+    after = float(np.vdot(state.omega, scatter)) + n * state.logdet_sigma
     state.log_lik -= 0.5 * (after - before)
     logabsdet_i_minus_a(params.a)  # raises NumericalError on a singular (I - A)
     if not math.isfinite(state.log_lik):
@@ -662,7 +654,7 @@ def update_sigma_star(state: ChainState, stats: SummaryStatistics, hyper: Hyperp
 
 
 def _sigma_scratch(p):
-    """Step 11's buffers K S and column precision, each with a view of its diagonal, and its normals."""
+    """Step 10's buffers K S and column precision, each with a view of its diagonal, and its normals."""
     k_s, u_prec = np.empty((p, p)), np.empty((p, p), order="F")
     return k_s, k_s.ravel()[:: p + 1], u_prec, u_prec.ravel(order="F")[:: p + 1], np.zeros(p)
 
@@ -721,10 +713,11 @@ def _check_log_lik(state: ChainState, stats: SummaryStatistics):
 
 
 def mcmc_sweep(state, stats, hyper, rng):
-    """One full pass over the eleven updates; returns (accepted, proposed) for A, then B.
+    """One full pass over the ten updates; returns (accepted, proposed) for A, then B.
 
-    Steps 4, 8, 9 and 11 advance the cached log-likelihood by their exact
-    increments; none of them computes a fresh one.
+    Steps 4, 8 and 10 advance the cached log-likelihood by their exact
+    increments; none of them computes a fresh one.  run_chain passes the
+    covariate-free statistics of collapse_covariates.
     """
     selection = hyper.instrument_mode == SELECTION
     if selection:
@@ -736,7 +729,6 @@ def mcmc_sweep(state, stats, hyper, rng):
     update_tau(state, hyper, rng)
     update_gamma(state, hyper, rng)
     acc_a, tot_a = update_a(state, stats, hyper, rng)
-    update_c(state, stats, hyper, rng)
     update_z(state, hyper, rng)
     update_sigma_star(state, stats, hyper, rng)
     return acc_a, tot_a, acc_b, tot_b
@@ -744,6 +736,10 @@ def mcmc_sweep(state, stats, hyper, rng):
 
 def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     """Run the full kernel and collect thinned post-burn-in samples.
+
+    The sweeps run on collapse_covariates' statistics, and one update_c
+    call after the last sweep draws C for the kept draws; loglik holds the
+    log-likelihood with C integrated out, log p(data | A, B, Sigma*).
 
     Fully deterministic given config.seed.  After every LOG_LIK_CHECK_EVERY-th
     sweep, and after the last sweep, the cached log-likelihood is replaced by
@@ -753,19 +749,20 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     with its iteration in front of the message.  Samples of the SAMPLED
     arrays are kept every config.thin sweeps after burn-in.
 
-    sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*.
-    No step reads it, so each sweep only copies Sigma* into a block of
-    MIN_EIG_BLOCK slots; one eigvalsh call fills each full block's values,
-    and one more those of the partial block left after the last sweep.
+    sigma_min_eig holds the smallest eigenvalue of every sweep's Sigma*,
+    from one eigvalsh call per block of MIN_EIG_BLOCK sweeps.
     """
     hyper = config.hyper
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    state = initial_state(stats, hyper, config.fixed_b_support)
+    sweep_stats, offset = collapse_covariates(stats, hyper)
+    state = initial_state(sweep_stats, hyper, config.fixed_b_support)
 
     # (destination, owner, attribute): the steps may replace an array, so it is looked up at every kept sweep.
     n_keep = -(-(config.iterations - config.burn_in) // config.thin)
     sources = []
     for name in SAMPLED:
+        if name == "c":  # drawn after the chain
+            continue
         owner = state.latent if name in INDICATORS else state.params
         shape = getattr(owner, name).shape
         sources.append((np.empty((n_keep, *shape), dtype=np.int8 if name in INDICATORS else float), owner, name))
@@ -780,9 +777,9 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
     try:
         for it in range(1, config.iterations + 1):
             state.iteration = it
-            acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, stats, hyper, rng)
+            acc_a, tot_a, acc_b, tot_b = mcmc_sweep(state, sweep_stats, hyper, rng)
             if it % LOG_LIK_CHECK_EVERY == 0:
-                _check_log_lik(state, stats)
+                _check_log_lik(state, sweep_stats)
             loglik[it - 1] = state.log_lik
             slot = (it - 1) % MIN_EIG_BLOCK
             sigma_block[slot] = params.sigma_star
@@ -800,16 +797,18 @@ def run_chain(stats: SummaryStatistics, config: McmcConfig) -> Chain:
                     stored += 1
         # Check the sweeps since the last periodic check too; loglik already holds their cached values.
         if config.iterations % LOG_LIK_CHECK_EVERY:
-            _check_log_lik(state, stats)
+            _check_log_lik(state, sweep_stats)
     except (NumericalError, ValueError) as exc:  # inputs were checked before the first sweep
         raise NumericalError(f"iteration {state.iteration}: {exc}") from exc
     filled = config.iterations % MIN_EIG_BLOCK
     if filled:
         min_eig[-filled:] = np.linalg.eigvalsh(sigma_block[:filled])[:, 0]
 
+    samples = {name: kept[:stored] for kept, _, name in sources}
+    samples["c"] = update_c(samples["a"], samples["b"], samples["sigma_star"], stats, hyper, rng)
     return Chain(
-        **{name: kept[:stored] for kept, _, name in sources},
-        loglik=loglik,
+        **samples,
+        loglik=loglik + offset,
         sigma_min_eig=min_eig,
         accept_rate_a=acc_a_post / tot_a_post if tot_a_post else float("nan"),
         accept_rate_b=acc_b_post / tot_b_post if tot_b_post else float("nan"),

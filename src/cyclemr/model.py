@@ -267,7 +267,7 @@ def residual_scatter(params: ModelParameters, stats: SummaryStatistics) -> np.nd
     """The likelihood's residual scatter n R Theta', symmetrized, with R and Theta from residual_moments.
 
     On the data that produced the statistics it equals E'E for the raw
-    residuals E = Y (I - A)' - X B' - U C'.  C's prior term enters in step 11.
+    residuals E = Y (I - A)' - X B' - U C'.
     """
     r, theta = residual_moments(params, stats)
     scatter = stats.dims.n * (r @ theta.T)

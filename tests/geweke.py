@@ -9,14 +9,19 @@ transforms, since their raw prior moments do not exist.
 Two models are covered: the selection-mode micro-model (p=2, k=2, no
 covariates by default, or p=3 with a covariate), which runs update_b's
 row blocks, and a fixed-map model with covariates, which runs update_b's
-single support block, update_c and a vector column in the Sigma* sweep.
+single support block and a vector column in the Sigma* sweep.
+
+With covariates, each step of the successive-conditional simulator runs
+the sweep as run_chain does, on collapse_covariates' statistics, and then
+draws C exactly from its full conditional with update_c, before the data
+are redrawn.
 """
 
 import numpy as np
 import scipy.linalg
 
 from cyclemr.distributions import draw_matrix_normal, sample_inverse_gamma
-from cyclemr.mcmc import FIXED_MAP, ChainState, Hyperparameters, LatentState, mcmc_sweep
+from cyclemr.mcmc import FIXED_MAP, ChainState, Hyperparameters, LatentState, collapse_covariates, mcmc_sweep, update_c
 from cyclemr.model import ModelParameters, RawDataSet, _chol_lower, compute_sufficient_stats
 
 
@@ -156,8 +161,11 @@ def run_successive_conditional(p, k, n, hyper, replicates, length, seed, l=0, su
         data = simulate_data(state.params, x, u, rng)
         stats = compute_sufficient_stats(data)
         for _ in range(length):
+            params = state.params
+            params.c = params.c[:, :0]  # the sweep runs with C integrated out
             state.log_lik = 0.0
-            mcmc_sweep(state, stats, hyper, rng)
+            mcmc_sweep(state, collapse_covariates(stats, hyper)[0], hyper, rng)
+            params.c = update_c(params.a[None], params.b[None], params.sigma_star[None], stats, hyper, rng)[0]
             data = simulate_data(state.params, x, u, rng)
             stats = compute_sufficient_stats(data)
         rows.append(state_functionals(state, hyper))

@@ -158,7 +158,7 @@ class TestGig:
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0)
 
-    # 1 - (n + 2)/2 is step 11's order at n = 3e4 with two covariates.
+    # 1 - (n + 2)/2 lies near step 10's order 1 - n/2 at n = 3e4.
     @pytest.mark.parametrize("p_order", [1.0 - (3e4 + 2) / 2, -13.5, -0.3, 0.0, 0.3, 2.0])
     def test_matches_reference_sampler(self, p_order):
         rates = [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5]

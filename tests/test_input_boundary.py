@@ -140,3 +140,43 @@ def test_one_broken_rule_ends_in_a_json_error(valid, case):
     assert code == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "data_error"
     assert not out_exists
+
+
+def numbers_in(doc):
+    if isinstance(doc, dict):
+        return [v for value in doc.values() for v in numbers_in(value)]
+    if isinstance(doc, list):
+        return [v for value in doc for v in numbers_in(value)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def degenerate_data(case, rng):
+    """(Y, X, U) that break no format rule but leave something unidentified: p = 3 traits, k = 3 instruments."""
+    n = 2 if case == "n-below-p" else 200
+    y, x, u = rng.standard_normal((n, 3)), rng.standard_normal((n, 3)), rng.standard_normal((n, 1))
+    y += 0.5 * x
+    if case.startswith("zero-variance-instrument"):
+        x[:, 0] = 0.0
+    elif case == "zero-variance-trait":
+        y[:, 0] = 0.0
+    elif case == "zero-variance-covariate":
+        u[:, 0] = 0.0
+    return y, x, u
+
+
+@pytest.mark.parametrize("case, mode", [
+    ("n-below-p", "rgm"), ("zero-variance-instrument", "rgm"), ("zero-variance-instrument-plus", "rgm-plus"),
+    ("zero-variance-trait", "rgm"), ("zero-variance-covariate", "rgm"),
+])
+def test_inputs_that_break_no_rule_fit_with_finite_output(tmp_path, case, mode):
+    y, x, u = degenerate_data(case, np.random.default_rng(5))
+    (tmp_path / "stats.json").write_text(json.dumps(stats_to_dict(compute_sufficient_stats(RawDataSet(y=y, x=x, u=u)))))
+    (tmp_path / "config.json").write_text(json.dumps({"iterations": 60, "burn_in": 20, "thin": 2, "seed": 1}))
+    (tmp_path / "B_support.csv").write_text("# rows=3 cols=3 name=B\n1,0,0\n0,1,0\n0,0,1\n")
+    argv = ["fit", "--stats", tmp_path / "stats.json", "--config", tmp_path / "config.json", "--out", tmp_path / "fit",
+            "--mode", mode]
+    if mode == "rgm":
+        argv += ["--b-support", tmp_path / "B_support.csv"]
+    assert main([str(a) for a in argv]) == 0
+    values = numbers_in(json.loads((tmp_path / "fit" / "summary.json").read_text()))
+    assert values and all(math.isfinite(v) for v in values)

@@ -1,4 +1,4 @@
-"""Step 11 with the carried Omega = Sigma*^-1 against a per-column-factorization reference.
+"""Step 10 with the carried Omega = Sigma*^-1 against a per-column-factorization reference.
 
 reference_update_sigma_star is the column-wise blocked Gibbs draw as it was
 written before Omega was carried: every column gathers and factors its
@@ -36,14 +36,14 @@ from cyclemr.model import (
 
 
 def reference_update_sigma_star(state, stats, hyper, rng):
-    """Step 11 with one Cholesky factorization and inverse of Sigma11 per column."""
+    """Step 10 with one Cholesky factorization and inverse of Sigma11 per column."""
     params, latent = state.params, state.latent
     p = params.p
     n = stats.dims.n
     lam = hyper.lam
-    scatter = residual_scatter(params, stats) + params.c @ params.c.T / hyper.tau_c
+    scatter = residual_scatter(params, stats)
     sigma = params.sigma_star
-    order = 1.0 - (n + stats.dims.l) / 2.0
+    order = 1.0 - n / 2.0
     idx = np.arange(p)
     for j in range(p):
         rest = idx[idx != j]

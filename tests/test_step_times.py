@@ -9,8 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 import step_times  # noqa: E402
 
-FIXED_MAP_STEPS = {"update_b", "update_rho", "update_tau", "update_gamma", "update_a", "update_c", "update_z",
-                   "update_sigma_star"}
+FIXED_MAP_STEPS = {"update_b", "update_rho", "update_tau", "update_gamma", "update_a", "update_z", "update_sigma_star"}
 
 
 def test_one_tree_against_itself(tmp_path):
@@ -21,7 +20,7 @@ def test_one_tree_against_itself(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     doc = json.loads(out.read_text())
     summary = doc["summary"]
-    # covariates-p3 is a fixed-map fit, so steps 1-3 never run; update_c does, with two covariates.
+    # covariates-p3 is a fixed-map fit, so steps 1-3 never run; update_c runs after a chain, never in a sweep.
     assert set(summary) == FIXED_MAP_STEPS | {"sweep", "outside_steps"}
     for name in FIXED_MAP_STEPS | {"sweep"}:
         for side in ("parent", "change"):

@@ -6,6 +6,9 @@ update_a and update_b return; perfbench/harness.py reads acceptance rates
 and the minimum eigenvalue of Sigma* from diagnostics.json.  These tests
 run small fits under that tracer, in both instrument modes and with a
 covariate, so a change that renames or reshapes any of them fails here.
+
+update_c is not a sweep step: run_chain calls it once per fit, after the
+last sweep, to draw C for the kept draws (an empty array when l = 0).
 """
 
 import json
@@ -66,7 +69,9 @@ def test_traced_fit_reads_what_the_benchmark_needs(inputs, mode, stats_name):
         assert tracer.in_sweep[span][0] > 0, span
     # No step computes a fresh log-likelihood; initial_state does.
     assert tracer.totals["model.loglik"][0] > 0
-    expected = set(tracing.UPDATE_STEPS) - (set() if mode == "rgm-plus" else SELECTION_STEPS)
+    assert tracer.totals["mcmc.update_c"][0] == 1
+    assert "mcmc.update_c" not in tracer.in_sweep
+    expected = set(tracing.UPDATE_STEPS) - {"update_c"} - (set() if mode == "rgm-plus" else SELECTION_STEPS)
     called = {name.split(".", 1)[1] for name in tracer.in_sweep if name.startswith("mcmc.update_")}
     assert called == expected
 

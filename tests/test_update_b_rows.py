@@ -1,4 +1,4 @@
-"""Step 4 against the blocked draw it replaced, and the per-chain work of steps 4 and 9.
+"""Step 4 against the blocked draw it replaced, and its per-chain work.
 
 reference_update_b is step 4 as it was written before selection-mode rows
 were factored in place: it builds every row's likelihood precision up
@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from cyclemr.mcmc import FIXED_MAP, SELECTION, NumericalError, _add_outer, update_b, update_c
-from cyclemr.model import RawDataSet, _chol_lower, compute_sufficient_stats, residual_moments
+from cyclemr.mcmc import FIXED_MAP, SELECTION, NumericalError, _add_outer, update_b
+from cyclemr.model import _chol_lower, residual_moments
 
 from test_sigma_star_carried import mixed_state
 
@@ -101,21 +101,3 @@ def test_update_b_raises_on_a_row_precision_that_is_not_positive_definite(mode):
         state.omega = -state.omega  # a negative-definite likelihood term outweighs the prior
     with pytest.raises(NumericalError, match="not positive definite"):
         update_b(state, stats, hyper, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("changed", ["stats", "tau_c"])
-def test_update_c_rebuilds_its_per_chain_work_when_its_inputs_change(changed):
-    state, stats, hyper = mixed_state(3, seed=90)
-    update_c(state, stats, hyper, np.random.default_rng(1))  # fills the per-chain work
-    fresh = copy.deepcopy(state)
-    fresh._per_chain.clear()
-    new_stats, new_hyper = stats, hyper
-    if changed == "stats":
-        rng = np.random.default_rng(91)
-        y, x, u = rng.standard_normal((40, 3)), rng.standard_normal((40, 3)), 3.0 * rng.standard_normal((40, 1))
-        new_stats = compute_sufficient_stats(RawDataSet(y=y, x=x, u=u))
-    else:
-        new_hyper = dataclasses.replace(hyper, tau_c=0.01)
-    for s in (state, fresh):
-        update_c(s, new_stats, new_hyper, np.random.default_rng(2))
-    np.testing.assert_array_equal(state.params.c, fresh.params.c)
